@@ -133,8 +133,12 @@ LfoModel LfoModel::load(std::istream& is) {
   is >> config.num_gaps >> config.include_size >> config.include_cost >>
       config.include_free_bytes >> config.thin_gaps >>
       config.missing_gap_value;
-  if (!is) throw std::runtime_error("LfoModel::load: bad feature config");
-  auto model = gbdt::Model::load(is);
+  // Bound num_gaps before dimension() materializes the gap list.
+  if (!is || config.num_gaps > gbdt::kMaxFeatures ||
+      config.dimension() == 0 || config.dimension() > gbdt::kMaxFeatures) {
+    throw std::runtime_error("LfoModel::load: bad feature config");
+  }
+  auto model = gbdt::Model::load(is, config.dimension());
   return LfoModel(std::move(model), config);
 }
 

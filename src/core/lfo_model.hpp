@@ -99,7 +99,10 @@ class LfoModel {
   std::vector<FeatureImportance> feature_importance() const;
 
   /// Persistence: the booster plus the feature schema it expects, so a
-  /// loaded model can never be fed a mismatched feature vector.
+  /// loaded model can never be fed a mismatched feature vector. load()
+  /// throws std::runtime_error on any file gbdt::Model::load rejects,
+  /// on a schema of 0 or more than gbdt::kMaxFeatures features, and on
+  /// a split feature outside the schema.
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   static LfoModel load(std::istream& is);

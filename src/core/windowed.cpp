@@ -5,6 +5,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -288,8 +289,7 @@ void swap_model_into(LfoCache& cache,
 /// rollout guard and apply its verdict: swap on activate, clear the
 /// model on fallback, keep the last-good model on reject. Records the
 /// decision on the current window's report and counts every transition
-/// in the metrics registry. Shared by the sync and async drivers so the
-/// guard sees the identical candidate sequence in both.
+/// in the metrics registry.
 void apply_rollout(RolloutGuard& guard, LfoCache& cache,
                    WindowedResult& result, std::size_t window_index,
                    std::size_t trained_on,
@@ -348,113 +348,56 @@ void record_rollout_state(const RolloutGuard& guard, WindowReport& report) {
   report.rollout.drift_streak = guard.drift_streak();
 }
 
-/// Synchronous reference pipeline: OPT + train run inline between
-/// windows. This is the schedule the async path must reproduce exactly.
-WindowedResult run_sync(const trace::Trace& trace,
-                        const WindowedConfig& config) {
-  LFO_TRACE_THREAD_LABEL("serve");
-  WindowedResult result;
-  LfoCache cache(config.lfo.cache_size, config.lfo.features,
-                 config.lfo.cutoff);
-  RolloutGuard guard(config.rollout);
-  // Models waiting out their activation lag (front = oldest), with the
-  // index of the window they were trained on, that window's feature
-  // summary (the drift baseline once the model starts serving) and the
-  // gate's view of the candidate. Failed training jobs queue too — the
-  // pop schedule must not depend on training outcomes — and are
-  // rejected by the guard when they surface.
-  struct PendingModel {
-    std::shared_ptr<const LfoModel> model;
-    std::shared_ptr<const obs::FeatureSummary> summary;
-    std::size_t trained_on = 0;
-    RolloutCandidate candidate;
-  };
-  std::deque<PendingModel> pending;
-  // Summary of the window the *currently serving* model was trained on.
-  std::shared_ptr<const obs::FeatureSummary> serving_summary;
-
-  std::size_t window_index = 0;
-  for (std::size_t begin = 0; begin < trace.size();
-       begin += config.window_size) {
-    const auto window = trace.window(begin, config.window_size);
-    WindowReport report;
-    report.index = window_index;
-    report.begin = begin;
-    report.length = window.size();
-
-    // Serve the window with the model trained on the previous one.
-    const WindowReport* previous =
-        result.windows.empty() ? nullptr : &result.windows.back();
-    serve_window(cache, window, report, previous);
-
-    // Train on the window just recorded (unless retraining is disabled
-    // and a model already serves).
-    if (config.retrain || !cache.has_model()) {
-      LFO_COUNTER_INC("lfo_train_jobs_total");
-      const auto trained = train_window_task(window, config, window_index,
-                                             cache.model(), serving_summary);
-      fill_training_report(report, trained, config.drift_warn_threshold);
-      pending.push_back({trained.result.model,
-                         trained.result.feature_summary, window_index,
-                         candidate_of(trained)});
-    }
-    result.windows.push_back(report);
-    if (pending.size() > config.swap_lag) {
-      PendingModel next = std::move(pending.front());
-      pending.pop_front();
-      apply_rollout(guard, cache, result, window_index, next.trained_on,
-                    std::move(next.model), std::move(next.summary),
-                    next.candidate, serving_summary);
-    }
-    record_rollout_state(guard, result.windows[window_index]);
-    emit_report(config, result.windows[window_index]);
-    ++window_index;
-  }
-
-  result.overall = cache.stats();
-  result.bypassed = cache.bypassed();
-  result.demoted_hits = cache.demoted_hits();
-  return result;
-}
-
-/// One enqueued (or, in sync mode, already finished) training job.
+/// One window's training job. Pooled (config.async): the task runs on the
+/// training pool. Inline: the task already ran on the serving thread and
+/// the future is ready.
 struct TrainJob {
   std::future<TrainedWindow> trained;
-  std::size_t report_index = 0;
   std::size_t window_index = 0;
 };
 
-/// Asynchronous pipeline: while window t is served by the current model,
-/// earlier windows' OPT derivation, dataset build and GBDT fit run on a
-/// thread pool. Jobs are consumed strictly FIFO at exactly the sync
-/// schedule's swap points, so with equal swap_lag the caching decisions
-/// are identical to run_sync; with swap_lag >= 1 every job gets at least
-/// one full window of serving time to overlap with.
-WindowedResult run_async(const trace::Trace& trace,
-                         const WindowedConfig& config) {
+}  // namespace
+
+/// The windowed driver. Each window is served with the current model,
+/// then (unless retraining is off and a model already serves) a training
+/// job is started on it, inline or on the pool. Jobs are popped strictly
+/// FIFO after swap_lag windows, so both modes hand the rollout guard the
+/// same candidates at the same boundaries and make identical decisions;
+/// with swap_lag >= 1 a pooled job gets at least one full window of
+/// serving time to overlap with.
+WindowedResult run_windowed_lfo(const trace::Trace& trace,
+                                const WindowedConfig& config) {
   LFO_TRACE_THREAD_LABEL("serve");
   WindowedResult result;
   LfoCache cache(config.lfo.cache_size, config.lfo.features,
                  config.lfo.cutoff);
   RolloutGuard guard(config.rollout);
-  const std::size_t pool_size =
-      config.train_threads != 0
-          ? config.train_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  util::ThreadPool pool(pool_size);
+  std::optional<util::ThreadPool> pool;
+  if (config.async) {
+    pool.emplace(config.train_threads != 0
+                     ? config.train_threads
+                     : std::max<std::size_t>(
+                           1, std::thread::hardware_concurrency()));
+  }
+  // Jobs waiting out their activation lag (front = oldest). Failed
+  // training jobs queue too — the pop schedule must not depend on
+  // training outcomes — and are rejected by the guard when they surface.
   std::deque<TrainJob> jobs;
+  // Summary of the window the *currently serving* model was trained on.
   std::shared_ptr<const obs::FeatureSummary> serving_summary;
 
-  // Block on a job's result, fill its window's training diagnostics and
-  // model health, and return the trained window (model + summary).
-  const auto finish_job = [&result, &config](TrainJob job) -> TrainedWindow {
+  // Take a job's result. An inline job's report was filled at its own
+  // boundary; a pooled job's report gets its training diagnostics and
+  // pipeline stats here.
+  const auto finish_job = [&](TrainJob& job) -> TrainedWindow {
+    if (!pool) return job.trained.get();
     const auto wait_start = Clock::now();
     TrainedWindow trained = [&] {
       LFO_TRACE_SPAN("swap_wait");
       return job.trained.get();
     }();
     const auto wait_end = Clock::now();
-    auto& report = result.windows[job.report_index];
+    auto& report = result.windows[job.window_index];
     fill_training_report(report, trained, config.drift_warn_threshold);
     report.pipeline.trained_async = true;
     report.pipeline.wait_seconds = seconds_between(wait_start, wait_end);
@@ -474,81 +417,81 @@ WindowedResult run_async(const trace::Trace& trace,
     report.index = window_index;
     report.begin = begin;
     report.length = window.size();
-    report.pipeline.queue_depth =
-        static_cast<std::uint32_t>(jobs.size());
-    LFO_GAUGE_SET("lfo_train_queue_depth", jobs.size());
+    if (pool) {
+      report.pipeline.queue_depth = static_cast<std::uint32_t>(jobs.size());
+      LFO_GAUGE_SET("lfo_train_queue_depth", jobs.size());
+    }
 
+    // Serve the window with the model trained on the previous one.
     const WindowReport* previous =
         result.windows.empty() ? nullptr : &result.windows.back();
     serve_window(cache, window, report, previous);
     result.windows.push_back(report);
 
-    // cache.has_model() flips at the same swap points as in run_sync, so
-    // this trains-or-not decision matches the sync schedule exactly.
-    bool emit_current = false;
+    // Train on the window just served (unless retraining is disabled and
+    // a model already serves). cache.has_model() flips only at the pops
+    // below, so both modes take this decision identically. The current
+    // report is published at this boundary unless a pooled job still
+    // owes it the training diagnostics.
+    bool emit_current = true;
     if (config.retrain || !cache.has_model()) {
       LFO_COUNTER_INC("lfo_train_jobs_total");
       TrainJob job;
-      job.report_index = result.windows.size() - 1;
       job.window_index = window_index;
-      job.trained = pool.submit([window, &config, window_index,
-                                 serving = cache.model(),
-                                 baseline = serving_summary] {
-        LFO_TRACE_THREAD_LABEL("train");
-        return train_window_task(window, config, window_index, serving,
-                                 baseline);
-      });
+      if (pool) {
+        job.trained = pool->submit([window, &config, window_index,
+                                    serving = cache.model(),
+                                    baseline = serving_summary] {
+          LFO_TRACE_THREAD_LABEL("train");
+          return train_window_task(window, config, window_index, serving,
+                                   baseline);
+        });
+        emit_current = false;
+      } else {
+        auto trained = train_window_task(window, config, window_index,
+                                         cache.model(), serving_summary);
+        fill_training_report(result.windows[window_index], trained,
+                             config.drift_warn_threshold);
+        std::promise<TrainedWindow> done;
+        job.trained = done.get_future();
+        done.set_value(std::move(trained));
+      }
       jobs.push_back(std::move(job));
-    } else {
-      // No training diagnostics will ever arrive: complete once the
-      // boundary below has recorded this window's rollout state.
-      emit_current = true;
     }
+    std::optional<std::size_t> popped;
     if (jobs.size() > config.swap_lag) {
       TrainJob job = std::move(jobs.front());
       jobs.pop_front();
-      const auto trained_on = job.window_index;
-      const auto report_index = job.report_index;
-      TrainedWindow trained = finish_job(std::move(job));
-      apply_rollout(guard, cache, result, window_index, trained_on,
+      TrainedWindow trained = finish_job(job);
+      apply_rollout(guard, cache, result, window_index, job.window_index,
                     std::move(trained.result.model),
                     std::move(trained.result.feature_summary),
                     candidate_of(trained), serving_summary);
-      // Stamp the current window's post-boundary state before any emit:
-      // with swap_lag == 0 the popped report IS the current window's.
-      record_rollout_state(guard, result.windows[window_index]);
-      emit_report(config, result.windows[report_index]);
-    } else {
-      record_rollout_state(guard, result.windows[window_index]);
+      if (pool) popped = job.window_index;
     }
+    // Stamp the current window's post-boundary state before any emit:
+    // with swap_lag == 0 the popped report IS the current window's.
+    record_rollout_state(guard, result.windows[window_index]);
+    if (popped) emit_report(config, result.windows[*popped]);
     if (emit_current) emit_report(config, result.windows[window_index]);
     ++window_index;
   }
 
-  // Drain jobs whose models never activate (trailing windows): the sync
-  // pipeline still records their training diagnostics, so the async run
-  // must too — it just never swaps them in.
-  while (!jobs.empty()) {
-    const auto report_index = jobs.front().report_index;
-    finish_job(std::move(jobs.front()));
-    jobs.pop_front();
-    emit_report(config, result.windows[report_index]);
+  // Drain the pooled jobs whose models never activate (trailing
+  // windows): their reports still get the training diagnostics.
+  if (pool) {
+    for (auto& job : jobs) {
+      finish_job(job);
+      emit_report(config, result.windows[job.window_index]);
+    }
+    LFO_CHECK_EQ(pool->pending(), 0u)
+        << "async pipeline drained but tasks remain queued";
   }
-  LFO_CHECK_EQ(pool.pending(), 0u)
-      << "async pipeline drained but tasks remain queued";
 
   result.overall = cache.stats();
   result.bypassed = cache.bypassed();
   result.demoted_hits = cache.demoted_hits();
   return result;
-}
-
-}  // namespace
-
-WindowedResult run_windowed_lfo(const trace::Trace& trace,
-                                const WindowedConfig& config) {
-  return config.async ? run_async(trace, config)
-                      : run_sync(trace, config);
 }
 
 bool same_decisions(const WindowedResult& a, const WindowedResult& b) {

@@ -34,12 +34,13 @@ struct WindowedConfig {
   /// note that "training tasks [must] not interfere with the request
   /// traffic". 0 = the idealized synchronous swap of Fig 2.
   std::uint32_t swap_lag = 0;
-  /// Run OPT derivation, dataset build and GBDT training on background
-  /// threads while the next window(s) are being served, instead of
-  /// inline between windows. Model activation order and timing (in
-  /// windows) are exactly the synchronous schedule: with the same
-  /// swap_lag, the async run makes identical caching decisions
-  /// (same_decisions below) — only wall-clock overlap changes.
+  /// Where each window's training job (OPT derivation, dataset build,
+  /// GBDT fit) runs: false = inline on the serving thread between
+  /// windows, true = on a background thread pool while the next
+  /// window(s) are served. The one driver pops jobs FIFO after swap_lag
+  /// windows in both modes, so with the same swap_lag the two make
+  /// identical caching decisions (same_decisions below) — only
+  /// wall-clock overlap changes.
   bool async = false;
   /// Size of the background training pool in async mode. 0 = hardware
   /// concurrency. Does not affect results, only overlap.
@@ -54,8 +55,11 @@ struct WindowedConfig {
   double drift_warn_threshold = 0.1;
   /// Per-window emit hook, invoked from the serving thread once a
   /// window's report is complete (serving + training diagnostics +
-  /// model health). In async mode completion follows the training
-  /// pipeline, so invocation order can differ from window order, and
+  /// model health). An inline job's report is complete at its own
+  /// window boundary, so sync mode publishes in window order. A pooled
+  /// job's report is complete when the job is popped, swap_lag windows
+  /// later; windows that start no job publish at once, so async order
+  /// can differ from window order. Either way
   /// pipeline.training_lag_windows of a lagged window may still be
   /// pending. Must not throw — the contract is enforced: a throwing
   /// hook fails fast via LFO_CHECK instead of unwinding mid-pipeline
@@ -156,8 +160,9 @@ struct WindowedResult {
 
 /// Drive a trace through LFO's record -> derive OPT -> train -> serve
 /// loop. The cache state and feature history persist across windows; only
-/// the model is swapped at window boundaries. With config.async the
-/// train side runs on a thread pool overlapped with serving.
+/// the model is swapped at window boundaries. Each window's training job
+/// runs inline, or with config.async on a thread pool overlapped with
+/// serving.
 WindowedResult run_windowed_lfo(const trace::Trace& trace,
                                 const WindowedConfig& config);
 

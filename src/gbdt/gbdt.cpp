@@ -95,7 +95,7 @@ void Model::save_file(const std::string& path) const {
   save(os);
 }
 
-Model Model::load(std::istream& is) {
+Model Model::load(std::istream& is, std::size_t num_features) {
   std::string tag, version;
   is >> tag >> version;
   if (!is || tag != "lfo-gbdt-model" || version != "v1") {
@@ -104,9 +104,14 @@ Model Model::load(std::istream& is) {
   double base = 0.0;
   std::size_t count = 0;
   is >> base >> count;
+  if (!is || !std::isfinite(base) || count > kMaxLoadTrees) {
+    throw std::runtime_error("Model::load: bad base score or tree count");
+  }
   std::vector<Tree> trees;
   trees.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) trees.push_back(Tree::load(is));
+  for (std::size_t i = 0; i < count; ++i) {
+    trees.push_back(Tree::load(is, num_features));
+  }
   return Model(base, std::move(trees));
 }
 

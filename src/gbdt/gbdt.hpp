@@ -94,7 +94,14 @@ class Model {
 
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
-  static Model load(std::istream& is);
+  /// Largest tree count load() accepts.
+  static constexpr std::size_t kMaxLoadTrees = std::size_t{1} << 14;
+  /// Read a model written by save(). Throws std::runtime_error on a bad
+  /// header, a non-finite base score, a tree count above kMaxLoadTrees,
+  /// or any tree Tree::load rejects (splits must use features below
+  /// num_features).
+  static Model load(std::istream& is,
+                    std::size_t num_features = kMaxFeatures);
   static Model load_file(const std::string& path);
 
  private:

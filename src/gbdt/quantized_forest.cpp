@@ -10,18 +10,12 @@
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define LFO_HAVE_NEON 1
-#endif
-
 namespace lfo::gbdt {
 
 namespace {
 
 constexpr std::uint32_t kLeafCut = 0xFFFFu;     // above every bin index
 constexpr std::size_t kMaxCutsPerFeature = 0xFFFFu - 1;  // cut < kLeafCut
-constexpr std::size_t kMaxFeatures = 1u << 16;  // feature packs in 16 bits
 
 // Perfect-layout padding dummy: feature 0, cut 0xFFFF — no bin index
 // exceeds the cut, so the walk always steps left through padded levels.
@@ -33,8 +27,7 @@ constexpr std::size_t kMinCompleteFcWords = 31;
 // Skip the perfect layout when padding would blow the forest up beyond
 // this many leaf-layer slots (2^depth per tree): the gather kernel's
 // working set would fall out of cache and a >16-deep tree overflows the
-// int32 heap index math anyway. The SIMD path then uses the
-// pointer-chasing lane kernel instead.
+// int32 heap index math anyway. Such forests take the scalar kernel.
 constexpr int kMaxCompleteDepth = 16;
 constexpr std::size_t kMaxCompleteLeaves = std::size_t{1} << 18;
 
@@ -114,12 +107,7 @@ SimdMode simd_mode() { return g_simd_mode.load(std::memory_order_relaxed); }
 
 const char* active_simd_kernel() {
   if (!use_simd()) return "scalar";
-  if (cpu_has_avx2()) return "avx2";
-#if defined(LFO_HAVE_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
+  return cpu_has_avx2() ? "avx2" : "scalar";
 }
 
 QuantizedForest QuantizedForest::compile(const Model& model,
@@ -258,7 +246,7 @@ QuantizedForest QuantizedForest::compile(const Model& model,
 
   // Perfect (heap-order) layout for the hot AVX2 kernel — see
   // detail::QuantCompleteView. Padding is exponential in depth, so cap it
-  // and let pathologically deep forests keep the pointer-chasing kernel.
+  // and let pathologically deep forests take the scalar kernel.
   bool complete_ok =
       num_features == 0 ||
       (num_features - 1) * forest.row_bytes_ <= 0xFFFF;  // prescale packs
@@ -481,108 +469,27 @@ LFO_HOT_PATH void QuantizedForest::predict_batch_scalar(
   }
 }
 
-#if defined(LFO_HAVE_NEON)
-namespace {
-
-/// NEON lane group: four int32 cursors stepped branch-free per level.
-/// aarch64 has no gather, so per-lane node/bin fetches stay scalar; the
-/// win is the vectorized compare/step and the shared level loop.
-template <typename Bin>
-LFO_HOT_PATH void predict_lanes_neon(const detail::QuantForestView& forest,
-                                     const Bin* bins, std::size_t stride,
-                                     double* out) {
-  float64x2_t acc_lo = vld1q_f64(out);
-  float64x2_t acc_hi = vld1q_f64(out + 2);
-  for (std::size_t t = 0; t < forest.num_trees; ++t) {
-    int32x4_t cur = vdupq_n_s32(forest.roots[t]);
-    for (std::int32_t d = forest.depths[t]; d > 0; --d) {
-      std::int32_t c[4];
-      vst1q_s32(c, cur);
-      std::int32_t lv[4];
-      std::int32_t bv[4];
-      std::int32_t cv[4];
-      for (int i = 0; i < 4; ++i) {
-        const std::uint32_t fc = forest.featcut[c[i]];
-        lv[i] = forest.left[c[i]];
-        bv[i] = static_cast<std::int32_t>(
-            bins[static_cast<std::size_t>(i) * stride + (fc >> 16)]);
-        cv[i] = static_cast<std::int32_t>(fc & 0xFFFFu);
-      }
-      const uint32x4_t gt = vcgtq_s32(vld1q_s32(bv), vld1q_s32(cv));
-      const int32x4_t next =
-          vsubq_s32(vld1q_s32(lv), vreinterpretq_s32_u32(gt));
-      const uint32x4_t moved =
-          veorq_u32(vreinterpretq_u32_s32(next), vreinterpretq_u32_s32(cur));
-      cur = next;
-      if (vmaxvq_u32(moved) == 0) break;  // all lanes at leaves
-    }
-    std::int32_t c[4];
-    vst1q_s32(c, cur);
-    const float64x2_t v_lo = {forest.values[c[0]], forest.values[c[1]]};
-    const float64x2_t v_hi = {forest.values[c[2]], forest.values[c[3]]};
-    acc_lo = vaddq_f64(acc_lo, v_lo);
-    acc_hi = vaddq_f64(acc_hi, v_hi);
-  }
-  vst1q_f64(out, acc_lo);
-  vst1q_f64(out + 2, acc_hi);
-}
-
-}  // namespace
-#endif  // LFO_HAVE_NEON
-
 LFO_HOT_PATH void QuantizedForest::predict_raw_binned(
     const std::uint8_t* bins, std::span<double> out) const {
   std::fill(out.begin(), out.end(), base_score_);
   const std::size_t rows = out.size();
   std::size_t done = 0;
 #if defined(LFO_HAVE_AVX2)
-  if (use_simd() && cpu_has_avx2()) {
-    const std::size_t stride_bytes = num_features_ * row_bytes_;
-    if (complete_ok_) {
-      const detail::QuantCompleteView view{
-          complete_fc_.data(),      complete_leaf_values_.data(),
-          complete_fc_base_.data(), complete_leaf_base_.data(),
-          depths_.data(),           roots_.size()};
-      done = (row_bytes_ == 1 ? detail::predict_complete_avx2_u8
-                              : detail::predict_complete_avx2_u16)(
-          view, bins, stride_bytes, out.data(), rows);
-    } else {
-      const detail::QuantForestView view{left_.data(), featcut_.data(),
-                                         values_.data(), roots_.data(),
-                                         depths_.data(), roots_.size()};
-      auto kernel = row_bytes_ == 1 ? detail::predict_lanes_avx2_u8
-                                    : detail::predict_lanes_avx2_u16;
-      for (; done + detail::kQuantLaneRows <= rows;
-           done += detail::kQuantLaneRows) {
-        kernel(view, bins + done * stride_bytes, stride_bytes,
-               out.data() + done);
-      }
-    }
-  }
-#elif defined(LFO_HAVE_NEON)
-  if (use_simd()) {
-    const detail::QuantForestView view{left_.data(), featcut_.data(),
-                                       values_.data(), roots_.data(),
-                                       depths_.data(), roots_.size()};
-    for (; done + 4 <= rows; done += 4) {
-      if (row_bytes_ == 1) {
-        predict_lanes_neon<std::uint8_t>(
-            view, bins + done * num_features_, num_features_,
-            out.data() + done);
-      } else {
-        predict_lanes_neon<std::uint16_t>(
-            view,
-            reinterpret_cast<const std::uint16_t*>(bins) +
-                done * num_features_,
-            num_features_, out.data() + done);
-      }
-    }
+  if (complete_ok_ && use_simd() && cpu_has_avx2()) {
+    const detail::QuantCompleteView view{
+        complete_fc_.data(),      complete_leaf_values_.data(),
+        complete_fc_base_.data(), complete_leaf_base_.data(),
+        depths_.data(),           roots_.size()};
+    done = (row_bytes_ == 1 ? detail::predict_complete_avx2_u8
+                            : detail::predict_complete_avx2_u16)(
+        view, bins, num_features_ * row_bytes_, out.data(), rows);
   }
 #endif
   if (done == rows) return;
-  // Scalar kernel for the tail (or the whole batch without SIMD); it
-  // accumulates onto the base-score-filled suffix exactly like the lane
-  // kernels, so every row is bitwise independent of the split point.
+  // Scalar kernel for the tail (or the whole batch without the AVX2
+  // kernel); it accumulates onto the base-score-filled suffix exactly like
+  // the AVX2 kernel, so every row is bitwise independent of the split
+  // point.
   const std::size_t row_stride = num_features_ * row_bytes_;
   if (row_bytes_ == 1) {
     predict_batch_scalar<std::uint8_t>(bins + done * row_stride,

@@ -11,10 +11,10 @@
 namespace lfo::gbdt {
 
 /// Which batch kernel the quantized engine may use. kAuto picks the
-/// widest ISA the CPU supports (AVX2 gathers on x86, NEON on aarch64,
-/// scalar otherwise); kForceScalar pins the portable scalar kernel — the
-/// same override the LFO_SIMD=scalar|off environment variable applies
-/// process-wide. Every kernel reaches the same leaves and accumulates in
+/// AVX2 kernel when the CPU supports it and the forest has the perfect
+/// layout (scalar otherwise); kForceScalar pins the portable scalar
+/// kernel — the same override the LFO_SIMD=scalar|off environment
+/// variable applies process-wide. Every kernel reaches the same leaves and accumulates in
 /// the same order, so the mode can never change scores or decisions
 /// (enforced by tests/test_quantized_forest.cpp and the
 /// LFO_SIMD=scalar CI leg of tools/run_static_checks.sh).
@@ -22,7 +22,7 @@ enum class SimdMode { kAuto, kForceScalar };
 void set_simd_mode(SimdMode mode);
 SimdMode simd_mode();
 /// Name of the batch kernel the current mode/CPU/env would run:
-/// "avx2", "neon" or "scalar" (for bench/diagnostic output).
+/// "avx2" or "scalar" (for bench/diagnostic output).
 const char* active_simd_kernel();
 
 /// A trained Model recompiled for histogram-bin-quantized inference —
@@ -44,8 +44,8 @@ const char* active_simd_kernel();
 /// reaches the SAME leaf as the float engines, and leaf values are
 /// accumulated per row in tree order — scores are allowed to differ in
 /// ulps by contract (DESIGN.md), but this implementation reproduces
-/// kTreeWalk bitwise, and decisions can never differ. The scalar, AVX2
-/// and NEON kernels are mutually bitwise identical.
+/// kTreeWalk bitwise, and decisions can never differ. The scalar and
+/// AVX2 kernels are mutually bitwise identical.
 ///
 /// predict()/batch kernels perform no heap allocation once the
 /// caller-owned scratch is warm (grow-only sizing on first use).
@@ -82,8 +82,8 @@ class QuantizedForest {
   std::size_t row_bytes() const { return row_bytes_; }
   /// Whether the perfect (heap-order, dummy-padded) tree layout was
   /// built — the layout the hot AVX2 kernel traverses without child
-  /// pointers. Skipped only for pathologically deep forests, where the
-  /// SIMD path falls back to the pointer-chasing lane kernel.
+  /// pointers. Skipped only for pathologically deep forests, which take
+  /// the scalar kernel.
   bool complete_layout() const { return complete_ok_; }
   /// Bin boundaries of feature f (sorted unique split thresholds).
   /// boundaries(f).bin_for(v) is the quantizer for one value.
@@ -103,8 +103,8 @@ class QuantizedForest {
                        std::vector<std::uint8_t>& scratch) const;
 
   /// Batched prediction over a row-major matrix of `out.size()` rows:
-  /// one quantization pass, then the dispatched (AVX2/NEON/scalar)
-  /// lane-group traversal. Bitwise identical to predict_raw row by row
+  /// one quantization pass, then the dispatched (AVX2/scalar)
+  /// traversal. Bitwise identical to predict_raw row by row
   /// under every SimdMode.
   void predict_raw_batch(std::span<const float> matrix,
                          std::size_t num_features, std::span<double> out,

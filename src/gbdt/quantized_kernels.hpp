@@ -14,20 +14,6 @@
 
 namespace lfo::gbdt::detail {
 
-/// Borrowed SoA view of a compiled QuantizedForest (valid only while the
-/// forest is alive). Node n splits on feature (featcut[n] >> 16) with
-/// inclusive bin cut (featcut[n] & 0xFFFF): go left when
-/// row_bin <= cut, i.e. right offset = (row_bin > cut). Leaves self-loop
-/// (left[n] == n) with cut 0xFFFF, which no bin index exceeds.
-struct QuantForestView {
-  const std::int32_t* left;      ///< left child; right = left + 1
-  const std::uint32_t* featcut;  ///< (feature << 16) | cut
-  const double* values;          ///< leaf value per node (0 on splits)
-  const std::int32_t* roots;     ///< per-tree root slot
-  const std::int32_t* depths;    ///< per-tree deepest level
-  std::size_t num_trees;
-};
-
 /// Borrowed view of the perfect (complete-tree) layout QuantizedForest
 /// builds next to the SoA block whenever the padded size stays small
 /// (QuantizedForest::complete_layout()). Tree t's internal nodes live at
@@ -50,30 +36,17 @@ struct QuantCompleteView {
   std::size_t num_trees;
 };
 
-/// Rows advanced per SIMD lane group (AVX2: eight int32 cursors).
-inline constexpr std::size_t kQuantLaneRows = 8;
-
 #if defined(LFO_HAVE_AVX2)
-/// Traverse kQuantLaneRows rows and accumulate every tree's leaf value
-/// onto out[0..7] (out must be pre-filled with the running per-row score,
-/// normally the base score). `bins` points at the first row's bin vector;
-/// rows are `stride_bytes` apart. The quantized buffer must carry
-/// QuantizedForest::kGatherPad trailing bytes: the 32-bit gathers read up
-/// to 3 bytes past the last bin. Addition order per row is tree order,
-/// bitwise identical to the scalar kernel.
-void predict_lanes_avx2_u8(const QuantForestView& forest,
-                           const std::uint8_t* bins,
-                           std::size_t stride_bytes, double* out);
-void predict_lanes_avx2_u16(const QuantForestView& forest,
-                            const std::uint8_t* bins,
-                            std::size_t stride_bytes, double* out);
-
 /// Perfect-layout batch traversal: processes the leading multiple of 8
 /// rows of `rows` (16-row blocks first — two lane groups and two trees
 /// interleaved keep four independent gather chains in flight — then one
 /// 8-row block) and returns how many rows it handled; the caller runs the
-/// scalar kernel on the remainder. Same pre-filled-out/stride/gather-pad
-/// contract and the same tree-order accumulation as predict_lanes_avx2_*.
+/// scalar kernel on the remainder. `out` must be pre-filled with the
+/// running per-row score (normally the base score); `bins` points at the
+/// first row's bin vector and rows are `stride_bytes` apart. The quantized
+/// buffer must carry QuantizedForest::kGatherPad trailing bytes: the 32-bit
+/// gathers read up to 3 bytes past the last bin. Addition order per row is
+/// tree order, bitwise identical to the scalar kernel.
 std::size_t predict_complete_avx2_u8(const QuantCompleteView& forest,
                                      const std::uint8_t* bins,
                                      std::size_t stride_bytes, double* out,

@@ -5,26 +5,20 @@
 // in quantized_forest.cpp), so the rest of the library stays runnable on
 // pre-AVX2 x86.
 //
-// Two traversal kernels share the branch-free step `right = (bin > cut)`:
-//
-//  * predict_lanes_avx2_* — the pointer-chasing SoA walk (gathered left
-//    child per level). Correct for any tree shape but latency-bound: the
-//    three gathers of a level form one dependence chain per 8-row group.
-//    Kept as the fallback for forests too deep for the perfect layout.
-//
-//  * predict_complete_avx2_* — the hot kernel. The perfect (heap-order)
-//    layout makes the child index pure arithmetic (2*cur + 1 + right), so
-//    a level costs at most TWO gathers, and the featcut words of levels
-//    0-3 (nodes 0..14, preloaded as two 8-word vectors per tree) are
-//    fetched with in-register vpermd lookups instead of gathers. Blocks
-//    of 16 rows run two lane groups x two trees interleaved — four
-//    independent dependence chains — so gather latency is overlapped
-//    rather than serialized. Dummy always-left splits (cut 0xFFFF, which
-//    no bin index exceeds) pad shallow leaves to full depth and leaf
-//    values are replicated across the padded subtree, so the fixed-trip
-//    walk reaches a leaf slot holding exactly the value the float engines
-//    produce. Leaf values are gathered as doubles and accumulated per row
-//    in tree order — bitwise identical to the scalar kernel.
+// The traversal kernel, predict_complete_avx2_*, takes the branch-free
+// step `right = (bin > cut)` over the perfect (heap-order) layout, which
+// makes the child index pure arithmetic (2*cur + 1 + right), so a level
+// costs at most TWO gathers, and the featcut words of levels 0-3 (nodes
+// 0..14, preloaded as two 8-word vectors per tree) are fetched with
+// in-register vpermd lookups instead of gathers. Blocks of 16 rows run two
+// lane groups x two trees interleaved — four independent dependence
+// chains — so gather latency is overlapped rather than serialized. Dummy
+// always-left splits (cut 0xFFFF, which no bin index exceeds) pad shallow
+// leaves to full depth and leaf values are replicated across the padded
+// subtree, so the fixed-trip walk reaches a leaf slot holding exactly the
+// value the float engines produce. Leaf values are gathered as doubles and
+// accumulated per row in tree order — bitwise identical to the scalar
+// kernel. Forests too deep for the perfect layout take the scalar kernel.
 //
 // The quantizer counts `boundary < value` over the flattened 8-padded
 // cut tables with cmp/movemask/popcount — the same #{boundaries < v} a
@@ -44,63 +38,6 @@
 namespace lfo::gbdt::detail {
 
 namespace {
-
-/// kShift = log2(sizeof(bin)), kMask extracts one bin from a 4-byte load.
-template <int kShift, std::uint32_t kMask>
-LFO_HOT_PATH inline void predict_lanes(const QuantForestView& forest,
-                                       const std::uint8_t* bins,
-                                       std::size_t stride_bytes,
-                                       double* out) {
-  const __m256i row_base = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-      _mm256_set1_epi32(static_cast<int>(stride_bytes)));
-  const __m256i bin_mask = _mm256_set1_epi32(static_cast<int>(kMask));
-  const __m256i cut_mask = _mm256_set1_epi32(0xFFFF);
-  // All-lanes masks for the masked gather forms (the no-mask intrinsics
-  // expand through _mm256_undefined_*() and trip GCC's
-  // -Wmaybe-uninitialized; the masked forms compile to the same vgather).
-  const __m256i all_i = _mm256_set1_epi32(-1);
-  const __m256d all_d = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256d acc_lo = _mm256_loadu_pd(out);
-  __m256d acc_hi = _mm256_loadu_pd(out + 4);
-  const int* const left = forest.left;
-  const int* const featcut = reinterpret_cast<const int*>(forest.featcut);
-  const int* const bin_words = reinterpret_cast<const int*>(bins);
-  for (std::size_t t = 0; t < forest.num_trees; ++t) {
-    __m256i cur = _mm256_set1_epi32(forest.roots[t]);
-    for (std::int32_t d = forest.depths[t]; d > 0; --d) {
-      const __m256i vleft = _mm256_mask_i32gather_epi32(
-          _mm256_setzero_si256(), left, cur, all_i, 4);
-      const __m256i vfc = _mm256_mask_i32gather_epi32(
-          _mm256_setzero_si256(), featcut, cur, all_i, 4);
-      const __m256i vfeat = _mm256_srli_epi32(vfc, 16);
-      const __m256i vcut = _mm256_and_si256(vfc, cut_mask);
-      // Byte offset of each row's bin for the gathered split feature.
-      const __m256i voff =
-          _mm256_add_epi32(row_base, _mm256_slli_epi32(vfeat, kShift));
-      const __m256i vbin = _mm256_and_si256(
-          _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), bin_words,
-                                      voff, all_i, 1),
-          bin_mask);
-      // Go right when bin > cut (signed compare is safe: both <= 0xFFFF).
-      const __m256i vgt = _mm256_cmpgt_epi32(vbin, vcut);
-      const __m256i next = _mm256_sub_epi32(vleft, vgt);
-      const __m256i moved = _mm256_xor_si256(next, cur);
-      cur = next;
-      if (_mm256_testz_si256(moved, moved)) break;  // all lanes at leaves
-    }
-    acc_lo = _mm256_add_pd(
-        acc_lo, _mm256_mask_i32gather_pd(_mm256_setzero_pd(), forest.values,
-                                         _mm256_castsi256_si128(cur),
-                                         all_d, 8));
-    acc_hi = _mm256_add_pd(
-        acc_hi, _mm256_mask_i32gather_pd(_mm256_setzero_pd(), forest.values,
-                                         _mm256_extracti128_si256(cur, 1),
-                                         all_d, 8));
-  }
-  _mm256_storeu_pd(out, acc_lo);
-  _mm256_storeu_pd(out + 4, acc_hi);
-}
 
 /// Shared constants of one perfect-layout block (all lane groups).
 struct CompleteCtx {
@@ -197,6 +134,7 @@ LFO_HOT_PATH inline void complete_leaf_acc(const CompleteCtx& ctx,
 /// kGroups lane groups (8 rows each) through the whole forest, two trees
 /// at a time: 2 * kGroups independent per-level dependence chains keep
 /// the gather ports busy instead of waiting out one chain's latency.
+/// kShift = log2(sizeof(bin)), kMask extracts one bin from a 4-byte load.
 template <int kShift, std::uint32_t kMask, int kGroups>
 LFO_HOT_PATH inline void predict_complete_block(
     const QuantCompleteView& forest, const std::uint8_t* bins,
@@ -535,20 +473,6 @@ LFO_HOT_PATH inline void quantize_rows_impl(
 }
 
 }  // namespace
-
-LFO_HOT_PATH void predict_lanes_avx2_u8(const QuantForestView& forest,
-                                        const std::uint8_t* bins,
-                                        std::size_t stride_bytes,
-                                        double* out) {
-  predict_lanes<0, 0xFFu>(forest, bins, stride_bytes, out);
-}
-
-LFO_HOT_PATH void predict_lanes_avx2_u16(const QuantForestView& forest,
-                                         const std::uint8_t* bins,
-                                         std::size_t stride_bytes,
-                                         double* out) {
-  predict_lanes<1, 0xFFFFu>(forest, bins, stride_bytes, out);
-}
 
 LFO_HOT_PATH std::size_t predict_complete_avx2_u8(
     const QuantCompleteView& forest, const std::uint8_t* bins,

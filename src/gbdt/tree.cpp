@@ -1,5 +1,6 @@
 #include "gbdt/tree.hpp"
 
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -80,10 +81,12 @@ void Tree::save(std::ostream& os) const {
   }
 }
 
-Tree Tree::load(std::istream& is) {
+Tree Tree::load(std::istream& is, std::size_t num_features) {
   std::size_t n = 0;
   is >> n;
-  if (!is || n == 0) throw std::runtime_error("Tree::load: bad node count");
+  if (!is || n == 0 || n > kMaxLoadNodes) {
+    throw std::runtime_error("Tree::load: bad node count");
+  }
   Tree t;
   t.feature_.resize(n);
   t.threshold_.resize(n);
@@ -95,6 +98,44 @@ Tree Tree::load(std::istream& is) {
         t.value_[i];
   }
   if (!is) throw std::runtime_error("Tree::load: truncated tree");
+
+  // Walk from the root: each node must be reached exactly once, which
+  // rules out out-of-range children, cycles, shared and orphan nodes.
+  std::vector<char> seen(n, 0);
+  std::vector<std::int32_t> stack{0};
+  seen[0] = 1;
+  std::size_t reached = 1;
+  while (!stack.empty()) {
+    const auto node = static_cast<std::size_t>(stack.back());
+    stack.pop_back();
+    if (t.left_[node] < 0) {
+      if (t.right_[node] >= 0 || !std::isfinite(t.value_[node])) {
+        throw std::runtime_error("Tree::load: bad leaf");
+      }
+      continue;
+    }
+    const auto feature = t.feature_[node];
+    if (feature < 0 || static_cast<std::size_t>(feature) >= num_features) {
+      throw std::runtime_error("Tree::load: split feature out of range");
+    }
+    if (!std::isfinite(t.threshold_[node])) {
+      throw std::runtime_error("Tree::load: non-finite threshold");
+    }
+    for (const auto child : {t.left_[node], t.right_[node]}) {
+      if (child < 0 || static_cast<std::size_t>(child) >= n) {
+        throw std::runtime_error("Tree::load: child index out of range");
+      }
+      if (seen[static_cast<std::size_t>(child)]) {
+        throw std::runtime_error("Tree::load: node reached twice");
+      }
+      seen[static_cast<std::size_t>(child)] = 1;
+      ++reached;
+      stack.push_back(child);
+    }
+  }
+  if (reached != n) {
+    throw std::runtime_error("Tree::load: node unreachable from the root");
+  }
   return t;
 }
 

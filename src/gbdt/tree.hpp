@@ -8,6 +8,10 @@
 
 namespace lfo::gbdt {
 
+/// Widest feature row a model may split on: the quantized engine packs a
+/// split feature into 16 bits. Also the default schema bound of load().
+inline constexpr std::size_t kMaxFeatures = std::size_t{1} << 16;
+
 /// One regression tree. Stored as flat arrays for fast, branch-light
 /// prediction. Internal node: go left when feature value <= threshold.
 class Tree {
@@ -51,7 +55,15 @@ class Tree {
   void add_split_counts(std::vector<std::uint64_t>& counts) const;
 
   void save(std::ostream& os) const;
-  static Tree load(std::istream& is);
+  /// Largest node count load() accepts.
+  static constexpr std::size_t kMaxLoadNodes = std::size_t{1} << 16;
+  /// Read a tree written by save(). Model files are untrusted input, so
+  /// this throws std::runtime_error unless the node count is in
+  /// [1, kMaxLoadNodes], every node is reached exactly once from the root
+  /// through in-range child indices, every split feature lies in
+  /// [0, num_features), and every split threshold and leaf value is
+  /// finite.
+  static Tree load(std::istream& is, std::size_t num_features = kMaxFeatures);
 
  private:
   // Node arrays; left_[i] < 0 marks a leaf.

@@ -2,23 +2,18 @@
 
 #if LFO_METRICS_ENABLED
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "obs/build_info.hpp"
 #include "obs/exporters.hpp"
 #include "obs/trace_span.hpp"
+#include "util/socket.hpp"
 
 namespace lfo::obs {
 
@@ -57,30 +52,8 @@ void count_bad_request() {
       .inc();
 }
 
-struct timeval to_timeval(double seconds) {
-  if (seconds < 0.0) seconds = 0.0;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - tv.tv_sec) * 1e6);
-  return tv;
-}
-
-void set_io_timeouts(int fd, double seconds) {
-  const struct timeval tv = to_timeval(seconds);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-bool send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+using util::send_all;
+using util::set_io_timeouts;
 
 const char* status_reason(int status) {
   switch (status) {
@@ -145,37 +118,8 @@ TelemetryServer::~TelemetryServer() { stop(); }
 bool TelemetryServer::start() {
   if (listen_fd_ >= 0) return true;
   last_error_.clear();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    last_error_ = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    last_error_ = std::string("bind: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 16) != 0) {
-    last_error_ = std::string("listen: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    last_error_ = std::string("getsockname: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  port_ = ntohs(bound.sin_port);
+  const int fd = util::listen_loopback(config_.port, 16, port_, last_error_);
+  if (fd < 0) return false;
   listen_fd_ = fd;
   stop_.store(false, std::memory_order_release);
   const std::uint32_t handlers =
@@ -430,18 +374,8 @@ HttpResponse TelemetryServer::handle_request(
 
 std::string fetch_local(std::uint16_t port, std::string_view target,
                         double timeout_seconds) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = util::connect_loopback(port, timeout_seconds);
   if (fd < 0) return {};
-  set_io_timeouts(fd, timeout_seconds);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
   std::string request = "GET ";
   request += target;
   request += " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";

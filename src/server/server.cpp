@@ -1,12 +1,10 @@
 #include "server/server.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,30 +13,14 @@
 
 #include "core/rollout.hpp"
 #include "obs/metrics.hpp"
+#include "util/socket.hpp"
 
 namespace lfo::server {
 
 namespace {
 
-void set_io_timeouts(int fd, double seconds) {
-  if (seconds < 0.0) seconds = 0.0;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - tv.tv_sec) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-bool send_all(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, p + sent, size - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+using util::send_all;
+using util::set_io_timeouts;
 
 enum class ReadStatus { kOk, kClosed, kError };
 
@@ -82,28 +64,9 @@ bool LfoServer::start() {
   if (listen_fd_ >= 0) return true;
   last_error_.clear();
   telemetry_error_.clear();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    last_error_ = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    last_error_ = std::string("bind: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 64) != 0) {
-    last_error_ = std::string("listen: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
+  std::uint16_t port = 0;
+  const int fd = util::listen_loopback(config_.port, 64, port, last_error_);
+  if (fd < 0) return false;
   // Every worker polls this fd (level-triggered), so one connection
   // wakes them all; accept must be non-blocking so the losers get
   // EAGAIN and fall back to polling instead of parking inside a
@@ -115,15 +78,7 @@ bool LfoServer::start() {
     ::close(fd);
     return false;
   }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    last_error_ = std::string("getsockname: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  port_ = ntohs(bound.sin_port);
+  port_ = port;
   listen_fd_ = fd;
   stop_.store(false, std::memory_order_release);
 
@@ -268,20 +223,10 @@ LfoClient::~LfoClient() { close(); }
 
 bool LfoClient::connect(std::uint16_t port, double timeout_seconds) {
   close();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = util::connect_loopback(port, timeout_seconds);
   if (fd < 0) return false;
-  set_io_timeouts(fd, timeout_seconds);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
   fd_ = fd;
   return true;
 }

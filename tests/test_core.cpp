@@ -207,5 +207,31 @@ TEST(WindowedRunner, RetrainOffKeepsFirstModel) {
   EXPECT_EQ(result.windows[2].train_accuracy, 0.0);
 }
 
+// window_hook publication order. Sync publishes each report at its own
+// boundary. Async publishes a report once its training job is popped:
+// with retrain off and swap_lag 2 the jobs of windows 0-2 queue, job 0
+// is popped at boundary 2, windows 3.. train nothing and publish at
+// once, and jobs 1-2 are drained after the last window.
+TEST(WindowedRunner, ReportPublicationOrder) {
+  const auto t = trace::generate_zipf_trace(14000, 400, 1.0, 64);
+  WindowedConfig config;
+  config.lfo = fast_lfo_config(t.unique_bytes() / 6);
+  config.window_size = 2000;
+  config.retrain = false;
+  config.swap_lag = 2;
+  config.train_threads = 2;
+  std::vector<std::size_t> order;
+  config.window_hook = [&order](const WindowReport& report) {
+    order.push_back(report.index);
+  };
+  const auto sync = run_windowed_lfo(t, config);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6}));
+  order.clear();
+  config.async = true;
+  const auto async = run_windowed_lfo(t, config);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 3, 4, 5, 6, 1, 2}));
+  EXPECT_TRUE(same_decisions(sync, async));
+}
+
 }  // namespace
 }  // namespace lfo::core

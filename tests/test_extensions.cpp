@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "cache/bloom_admission.hpp"
 #include "cache/lru.hpp"
@@ -293,6 +295,69 @@ TEST(LfoModelPersistence, RoundTripPreservesPredictions) {
 TEST(LfoModelPersistence, LoadRejectsGarbage) {
   std::stringstream ss("definitely not a model");
   EXPECT_THROW(core::LfoModel::load(ss), std::runtime_error);
+}
+
+// A hand-written model file: a 7-wide schema (size, cost, free, 4 gaps)
+// and one tree, given as its node lines "feature threshold left right
+// value" after the node count.
+std::string model_text(const std::string& tree,
+                       const std::string& schema = "4 1 1 1 0 100000000",
+                       const std::string& trees = "0.5 1") {
+  return "lfo-model v1\n" + schema + "\nlfo-gbdt-model v1\n" + trees +
+         "\n" + tree;
+}
+
+const std::string kRoot = "0 2.5 1 2 0\n";
+const std::string kLeaves = "-1 0 -1 -1 0.25\n-1 0 -1 -1 -0.75\n";
+
+TEST(LfoModelPersistence, LoadAcceptsAHandWrittenModel) {
+  std::stringstream ss(model_text("3\n" + kRoot + kLeaves));
+  const auto model = core::LfoModel::load(ss);
+  EXPECT_EQ(model.dimension(), 7u);
+  std::vector<float> row(7, 0.0f);
+  EXPECT_DOUBLE_EQ(model.booster().predict_raw(row), 0.75);
+}
+
+TEST(LfoModelPersistence, LoadRejectsCorruptTrees) {
+  const std::pair<const char*, std::string> corrupt[] = {
+      {"right child out of range", "3\n0 2.5 1 9 0\n" + kLeaves},
+      {"left child back at the root", "3\n0 2.5 0 2 0\n" + kLeaves},
+      {"negative child", "3\n0 2.5 -1 2 0\n" + kLeaves},
+      {"shared child", "3\n0 2.5 1 1 0\n" + kLeaves},
+      {"unreachable node", "4\n" + kRoot + kLeaves + "-1 0 -1 -1 1\n"},
+      {"leaf with a right child", "3\n" + kRoot + "-1 0 -1 2 0.25\n" +
+                                      "-1 0 -1 -1 -0.75\n"},
+      {"split feature outside the schema", "3\n99 2.5 1 2 0\n" + kLeaves},
+      {"negative split feature", "3\n-5 2.5 1 2 0\n" + kLeaves},
+      // libstdc++ streams refuse nan/inf/overflowing tokens; load's own
+      // finiteness check backs that up.
+      {"NaN threshold", "3\n0 nan 1 2 0\n" + kLeaves},
+      {"infinite leaf value", "3\n" + kRoot + "-1 0 -1 -1 inf\n" +
+                                  "-1 0 -1 -1 -0.75\n"},
+      {"node count above the bound", "1000000000\n" + kRoot},
+      {"zero node count", "0\n"},
+      {"truncated tree", "3\n" + kRoot},
+  };
+  for (const auto& [what, tree] : corrupt) {
+    std::stringstream ss(model_text(tree));
+    EXPECT_THROW(core::LfoModel::load(ss), std::runtime_error) << what;
+  }
+}
+
+TEST(LfoModelPersistence, LoadRejectsBadCountsAndSchemas) {
+  const std::string tree = "3\n" + kRoot + kLeaves;
+  const std::pair<const char*, std::string> corrupt[] = {
+      {"tree count above the bound",
+       model_text(tree, "4 1 1 1 0 100000000", "0.5 1000000000")},
+      {"non-finite base score",
+       model_text(tree, "4 1 1 1 0 100000000", "nan 1")},
+      {"empty schema", model_text(tree, "0 0 0 0 0 100000000")},
+      {"gap count above the bound", model_text(tree, "4000000000 1 1 1 1 0")},
+  };
+  for (const auto& [what, text] : corrupt) {
+    std::stringstream ss(text);
+    EXPECT_THROW(core::LfoModel::load(ss), std::runtime_error) << what;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <sstream>
 
 #include "gbdt/dataset.hpp"
@@ -300,6 +301,11 @@ struct HyperParams {
   double lr;
   std::uint32_t iters;
 };
+// Without a printer gtest dumps the struct's bytes, padding included,
+// into the listed test names, which then changed from build to build.
+void PrintTo(const HyperParams& p, std::ostream* os) {
+  *os << "leaves=" << p.leaves << ",lr=" << p.lr << ",iters=" << p.iters;
+}
 class TrainSweep : public ::testing::TestWithParam<HyperParams> {};
 
 TEST_P(TrainSweep, BeatsTrivialBaseline) {

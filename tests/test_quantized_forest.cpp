@@ -122,6 +122,29 @@ gbdt::Model wide_bin_model(std::uint64_t seed) {
   return gbdt::Model(0.25, std::move(trees));
 }
 
+/// Chains deeper than the 16 levels QuantizedForest lays out as perfect
+/// trees, so the compiled forest has no perfect layout and every batch
+/// takes the scalar kernel. Level l splits feature l % num_features at l
+/// and the chain continues right, so rows with large or +inf values walk
+/// far down.
+gbdt::Model deep_chain_model(std::uint64_t seed, std::size_t num_features) {
+  util::Rng rng(seed);
+  std::vector<gbdt::Tree> trees;
+  for (std::size_t t = 0; t < 3; ++t) {
+    gbdt::Tree tree(rng.normal(0.0, 1.0));
+    std::int32_t leaf = 0;
+    for (int level = 0; level < 20; ++level) {
+      const auto children = tree.split_leaf(
+          leaf, static_cast<std::int32_t>(level % num_features),
+          static_cast<float>(level), rng.normal(0.0, 1.0),
+          rng.normal(0.0, 1.0));
+      leaf = children.right;
+    }
+    trees.push_back(std::move(tree));
+  }
+  return gbdt::Model(0.1, std::move(trees));
+}
+
 /// RAII restore of the process-wide SIMD mode.
 struct SimdGuard {
   gbdt::SimdMode saved = gbdt::simd_mode();
@@ -199,28 +222,36 @@ TEST(QuantizedForest, SinglePredictBitwiseIdenticalToTreeWalk) {
 TEST(QuantizedForest, BatchEqualsSingleSampleTimesN) {
   // Row counts straddle the SIMD lane-group width (8) and the scalar
   // block width (64), so full lane groups, scalar tails, and
-  // scalar-only batches are all exercised.
+  // scalar-only batches are all exercised. The deep chain forest has no
+  // perfect layout, so its batches run the scalar kernel throughout.
   util::Rng rng(23);
   std::vector<std::uint8_t> scratch, row_scratch;
+  constexpr std::size_t num_features = 6;
+  EXPECT_FALSE(
+      gbdt::QuantizedForest::compile(deep_chain_model(0, num_features),
+                                     num_features)
+          .complete_layout());
   for (const std::size_t rows : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u,
                                  513u}) {
-    const std::size_t num_features = 6;
-    const auto model = random_model(900 + rows, 10, num_features, 40);
-    const auto forest =
-        gbdt::QuantizedForest::compile(model, num_features);
-    const auto matrix = random_matrix(rng, rows, num_features);
+    for (const auto& model :
+         {random_model(900 + rows, 10, num_features, 40),
+          deep_chain_model(rows, num_features)}) {
+      const auto forest =
+          gbdt::QuantizedForest::compile(model, num_features);
+      const auto matrix = random_matrix(rng, rows, num_features);
 
-    std::vector<double> raw(rows), proba(rows);
-    forest.predict_raw_batch(matrix, num_features, raw, scratch);
-    forest.predict_proba_batch(matrix, num_features, proba, scratch);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::span<const float> row{matrix.data() + r * num_features,
-                                       num_features};
-      EXPECT_EQ(raw[r], forest.predict_raw(row, row_scratch))
-          << "rows=" << rows << " r=" << r;
-      EXPECT_EQ(proba[r], forest.predict_proba(row, row_scratch))
-          << "rows=" << rows << " r=" << r;
-      EXPECT_EQ(raw[r], tree_walk_raw(model, row));
+      std::vector<double> raw(rows), proba(rows);
+      forest.predict_raw_batch(matrix, num_features, raw, scratch);
+      forest.predict_proba_batch(matrix, num_features, proba, scratch);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::span<const float> row{matrix.data() + r * num_features,
+                                         num_features};
+        EXPECT_EQ(raw[r], forest.predict_raw(row, row_scratch))
+            << "rows=" << rows << " r=" << r;
+        EXPECT_EQ(proba[r], forest.predict_proba(row, row_scratch))
+            << "rows=" << rows << " r=" << r;
+        EXPECT_EQ(raw[r], tree_walk_raw(model, row));
+      }
     }
   }
 }

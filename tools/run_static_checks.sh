@@ -9,9 +9,11 @@
 # Runs, in order:
 #   1. asan-ubsan preset: configure, build the test suite, run ctest under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (LFO_DCHECKs on).
-#   2. tsan preset: configure, build, run the "stress" ctest label
-#      (ThreadPool, parallel sweep, async retraining pipeline, concurrent
-#      const feature extraction) under ThreadSanitizer.
+#   2. tsan preset: configure, build every stress-labelled test target
+#      (lfo_stress_tests), run the "stress" ctest label (ThreadPool,
+#      parallel sweep, async retraining pipeline, concurrent const
+#      feature extraction, scrape-under-load, sharded server) under
+#      ThreadSanitizer.
 #   3. obs gate: build with -DLFO_METRICS=ON and =OFF, run tier1 under
 #      both, and diff the golden-trace decision counts across the two
 #      builds — instrumentation must be provably decision-neutral even
@@ -31,7 +33,7 @@
 #      LFO_SIMD=scalar — the env override pins gbdt's portable scalar
 #      kernels, so every bitwise-identity and golden-decision test
 #      re-proves the quantized engine's scores cannot depend on which
-#      ISA the dispatcher picked (the fallback CPUs without AVX2/NEON
+#      ISA the dispatcher picked (the fallback CPUs without AVX2
 #      actually run).
 #   7. clang-tidy over src/ (including src/obs) via the asan build's
 #      compile_commands.json with the repo .clang-tidy config (skipped
@@ -103,8 +105,7 @@ fi
 if [[ "$SKIP_TSAN" -eq 0 ]]; then
   banner "tsan: configure + build stress tests"
   cmake --preset tsan
-  cmake --build build-tsan --target test_stress_threads \
-        --target test_async_pipeline -j "$JOBS"
+  cmake --build build-tsan --target lfo_stress_tests -j "$JOBS"
   banner "tsan: ctest -L stress"
   ctest --test-dir build-tsan -L stress --output-on-failure -j "$JOBS"
 fi
@@ -144,7 +145,7 @@ fi
 if [[ "$SKIP_FAULTS" -eq 0 ]]; then
   banner "fault gate: Release build + ctest -L faults"
   cmake -S . -B build-faults -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-faults --target test_rollout -j "$JOBS"
+  cmake --build build-faults --target lfo_faults_tests -j "$JOBS"
   # Injected training failures (WindowedConfig::train_fault) must drive
   # the rollout guard through fallback and recovery deterministically,
   # keep BHR at or above the heuristic-only baseline, and — with no
@@ -155,8 +156,7 @@ fi
 if [[ "$SKIP_PERF" -eq 0 ]]; then
   banner "perf smoke: Release build + ctest -L perfsmoke"
   cmake -S . -B build-perf -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-perf --target test_flat_forest \
-        --target test_hotpath_alloc -j "$JOBS"
+  cmake --build build-perf --target lfo_perfsmoke_tests -j "$JOBS"
   # Strict gates: the flat engine must be decision-identical to the tree
   # walk and the warm serving path must perform zero heap allocations
   # (NDEBUG + no sanitizer arms the EXPECT_EQ(delta, 0) assertions).
