@@ -112,6 +112,13 @@ int main(int argc, char** argv) {
   const auto config = bench::standard_lfo_config(cache_size);
 
   const auto trained = core::train_on_window(trace.window(0, train_n), config);
+  // GBDT fit rate on the training window (the trainer's share of every
+  // retraining job).
+  const double gbdt_train_rows_per_sec =
+      static_cast<double>(trained.num_samples) / trained.train_seconds;
+  std::cout << "# gbdt fit: " << trained.num_samples << " rows in "
+            << trained.train_seconds << " s = " << gbdt_train_rows_per_sec
+            << " rows/s\n";
 
   // Materialize the prediction workload's feature rows once: the bench
   // isolates predictor cost, matching the paper's measurement.
@@ -513,6 +520,7 @@ int main(int argc, char** argv) {
         .set("num_trees",
              static_cast<std::uint64_t>(
                  trained.model->booster().num_trees()))
+        .set("gbdt_train_rows_per_sec", gbdt_train_rows_per_sec)
         .set("single_thread_million_reqs_per_sec", single_thread)
         .set("tree_walk_preds_per_sec", walk_pps)
         .set("tree_walk_ns_per_request", 1e9 / walk_pps)

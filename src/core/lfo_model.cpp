@@ -152,6 +152,13 @@ LfoModel LfoModel::load_file(const std::string& path) {
 
 TrainResult train_on_window(std::span<const trace::Request> window,
                             const LfoConfig& config) {
+  std::optional<gbdt::Dataset> dataset;
+  return train_on_window(window, config, dataset);
+}
+
+TrainResult train_on_window(std::span<const trace::Request> window,
+                            const LfoConfig& config,
+                            std::optional<gbdt::Dataset>& dataset) {
   if (window.empty()) {
     throw std::invalid_argument("train_on_window: empty window");
   }
@@ -166,21 +173,43 @@ TrainResult train_on_window(std::span<const trace::Request> window,
   features::DatasetBuildOptions build;
   build.features = config.features;
   build.cache_size = config.cache_size;
-  const auto dataset = features::build_dataset(window, result.opt, build);
-  result.num_samples = dataset.num_rows();
+  dataset.emplace(features::build_dataset(window, result.opt, build));
+  result.num_samples = dataset->num_rows();
   result.feature_summary = std::make_shared<const obs::FeatureSummary>(
-      obs::summarize_rows(dataset.features_matrix(),
-                          dataset.num_features()));
+      obs::summarize_rows(dataset->features_matrix(),
+                          dataset->num_features()));
 
   t0 = Clock::now();
-  auto booster = gbdt::train(dataset, config.gbdt);
+  std::vector<double> raw_scores;
+  auto booster =
+      gbdt::train(*dataset, config.gbdt, nullptr, nullptr, &raw_scores);
   result.train_seconds = seconds_since(t0);
-  result.train_confusion = gbdt::confusion(booster, dataset, config.cutoff);
+  // The trainer's final scores are the model's own scores on the window,
+  // unless early stopping truncated the model.
+  result.train_confusion =
+      raw_scores.empty()
+          ? gbdt::confusion(booster, *dataset, config.cutoff)
+          : gbdt::confusion(raw_scores, *dataset, config.cutoff);
   result.train_accuracy = result.train_confusion.accuracy();
   result.model = std::make_shared<const LfoModel>(std::move(booster),
                                                   config.features);
   return result;
 }
+
+namespace {
+util::BinaryConfusion score_dataset(const LfoModel& model,
+                                    const gbdt::Dataset& dataset,
+                                    double cutoff) {
+  const auto proba = model.predict_batch(dataset.features_matrix());
+  util::BinaryConfusion confusion;
+  for (std::size_t i = 0; i < dataset.num_rows(); ++i) {
+    const bool predicted = proba[i] >= cutoff;
+    const bool actual = dataset.label(i) > 0.5f;
+    confusion.add(predicted, actual);
+  }
+  return confusion;
+}
+}  // namespace
 
 util::BinaryConfusion evaluate_predictions(
     const LfoModel& model, std::span<const trace::Request> window,
@@ -193,16 +222,19 @@ util::BinaryConfusion evaluate_predictions(
   features::DatasetBuildOptions build;
   build.features = model.feature_config();
   build.cache_size = cache_size;
-  const auto dataset = features::build_dataset(window, opt, build);
+  return score_dataset(model, features::build_dataset(window, opt, build),
+                       cutoff);
+}
 
-  const auto proba = model.predict_batch(dataset.features_matrix());
-  util::BinaryConfusion confusion;
-  for (std::size_t i = 0; i < dataset.num_rows(); ++i) {
-    const bool predicted = proba[i] >= cutoff;
-    const bool actual = dataset.label(i) > 0.5f;
-    confusion.add(predicted, actual);
+util::BinaryConfusion evaluate_predictions(const LfoModel& model,
+                                           const gbdt::Dataset& dataset,
+                                           double cutoff) {
+  LFO_TRACE_SPAN("evaluate_predictions");
+  if (dataset.num_features() != model.dimension()) {
+    throw std::invalid_argument(
+        "evaluate_predictions: dataset width is not the model's");
   }
-  return confusion;
+  return score_dataset(model, dataset, cutoff);
 }
 
 }  // namespace lfo::core

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -137,6 +138,13 @@ struct TrainResult {
 /// compute OPT, derive features, fit the booster.
 TrainResult train_on_window(std::span<const trace::Request> window,
                             const LfoConfig& config);
+/// As above, and hands the caller the window's training dataset (built
+/// from the returned OPT labels with config.features and
+/// config.cache_size), so the caller can score another model on the
+/// window without building it again.
+TrainResult train_on_window(std::span<const trace::Request> window,
+                            const LfoConfig& config,
+                            std::optional<gbdt::Dataset>& dataset);
 
 /// Replay `window` through the feature extractor and compare the model's
 /// cutoff decisions against OPT's. This is the paper's "prediction error"
@@ -145,6 +153,13 @@ TrainResult train_on_window(std::span<const trace::Request> window,
 util::BinaryConfusion evaluate_predictions(
     const LfoModel& model, std::span<const trace::Request> window,
     const opt::OptDecisions& opt, std::uint64_t cache_size, double cutoff);
+/// The same evaluation on the window's dataset, already built with the
+/// model's feature config (e.g. by train_on_window from the same window,
+/// labels and cache size). Throws std::invalid_argument when the
+/// dataset's width is not the model's.
+util::BinaryConfusion evaluate_predictions(const LfoModel& model,
+                                           const gbdt::Dataset& dataset,
+                                           double cutoff);
 
 }  // namespace lfo::core
 

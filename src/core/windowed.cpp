@@ -112,6 +112,9 @@ TrainedWindow train_window_task(
   LFO_TRACE_SPAN("train_window");
   TrainedWindow out;
   out.started = Clock::now();
+  // The window's dataset, shared by training and the serving model's
+  // evaluation.
+  std::optional<gbdt::Dataset> dataset;
   // Bounded retry with (optional, wall-clock-only) backoff: a failed
   // attempt — an injected fault or a real exception out of
   // train_on_window — is retried up to max_train_retries times before
@@ -131,7 +134,7 @@ TrainedWindow train_window_task(
       if (config.train_fault && config.train_fault(window_index, attempt)) {
         throw std::runtime_error("injected training fault");
       }
-      out.result = train_on_window(window, config.lfo);
+      out.result = train_on_window(window, config.lfo, dataset);
       out.train_failed = false;
       break;
     } catch (const std::exception& e) {
@@ -144,9 +147,10 @@ TrainedWindow train_window_task(
   }
   if (!out.train_failed) {
     if (serving) {
+      // Every serving model was trained by this task with
+      // config.lfo.features, so the window's dataset is the one it reads.
       out.confusion =
-          evaluate_predictions(*serving, window, out.result.opt,
-                               config.lfo.cache_size, config.lfo.cutoff);
+          evaluate_predictions(*serving, *dataset, config.lfo.cutoff);
       out.evaluated = true;
       out.prediction_error = 1.0 - out.confusion.accuracy();
     }

@@ -19,6 +19,9 @@ class Dataset {
   std::size_t num_rows() const { return labels_.size(); }
 
   /// Append one sample; `features` must have num_features() entries.
+  /// Throws std::invalid_argument on a NaN feature: the trainer's binning
+  /// would put it in bin 0 (left of every split) while Tree::predict sends
+  /// it right. +-inf is accepted; binning and the tree agree on it.
   void add_row(std::span<const float> features, float label);
 
   /// Reserve capacity for `rows` samples.
@@ -52,8 +55,9 @@ struct FeatureBins {
   std::uint32_t bin_for(float value) const;
 };
 
-/// Histogram-binned view of a Dataset: uint8 bin ids, column-major for
-/// cache-friendly histogram construction.
+/// Histogram-binned view of a Dataset: uint8 bin ids, row-major, so a
+/// pass over a leaf's rows reads the bins of a whole block of features
+/// from one place per row.
 class BinnedDataset {
  public:
   /// Build quantile bins (at most `max_bins` <= 256 per feature) from the
@@ -63,13 +67,11 @@ class BinnedDataset {
   std::size_t num_rows() const { return num_rows_; }
   std::size_t num_features() const { return bins_.size(); }
   const FeatureBins& feature_bins(std::size_t f) const { return bins_[f]; }
-  std::uint8_t bin(std::size_t row, std::size_t col) const {
-    return binned_[col * num_rows_ + row];
+  /// The bins of one row, one per feature.
+  const std::uint8_t* row(std::size_t r) const {
+    return binned_.data() + r * num_features();
   }
-  /// Column view for histogram loops.
-  std::span<const std::uint8_t> column(std::size_t col) const {
-    return {binned_.data() + col * num_rows_, num_rows_};
-  }
+  std::uint8_t bin(std::size_t r, std::size_t f) const { return row(r)[f]; }
   /// The raw threshold value separating bin b from bin b+1 of feature f
   /// (used to emit trees that predict directly from raw floats).
   float split_value(std::size_t f, std::uint32_t bin) const {
@@ -79,7 +81,7 @@ class BinnedDataset {
  private:
   std::size_t num_rows_;
   std::vector<FeatureBins> bins_;
-  std::vector<std::uint8_t> binned_;  // column-major
+  std::vector<std::uint8_t> binned_;  // row-major
 };
 
 }  // namespace lfo::gbdt

@@ -1,6 +1,7 @@
 #include "gbdt/gbdt.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -123,16 +124,20 @@ Model Model::load_file(const std::string& path) {
 
 namespace {
 
-/// Gradient/hessian histogram of one feature over one leaf's rows.
-struct Histogram {
-  double sum_g[256];
-  double sum_h[256];
-  std::uint32_t count[256];
-  void clear(std::uint32_t bins) {
-    std::fill_n(sum_g, bins, 0.0);
-    std::fill_n(sum_h, bins, 0.0);
-    std::fill_n(count, bins, 0u);
-  }
+/// Gradient/hessian sums and row count of one histogram bin.
+struct BinStats {
+  double sum_g = 0.0;
+  double sum_h = 0.0;
+  std::uint32_t count = 0;
+};
+
+/// Candidate features whose histograms one pass over a leaf fills.
+constexpr std::size_t kFeatureBlock = 16;
+
+/// One row's gradient and hessian, gathered in leaf order.
+struct GradPair {
+  double g = 0.0;
+  double h = 0.0;
 };
 
 struct SplitInfo {
@@ -197,12 +202,13 @@ class Trainer {
     std::fill(scores_.begin(), scores_.end(), base_score_);
   }
 
-  Model run(TrainLog* log) {
+  Model run(TrainLog* log, std::vector<double>* raw_scores) {
     LFO_TRACE_SPAN("gbdt_train");
     std::vector<Tree> trees;
     trees.reserve(params_.num_iterations);
     double best_valid = std::numeric_limits<double>::infinity();
     std::uint32_t best_iteration = 0;
+    bool truncated = false;  // scores_ then holds trees the model lacks
     for (std::uint32_t iter = 0; iter < params_.num_iterations; ++iter) {
       LFO_TRACE_SPAN("boost_round");
       LFO_COUNTER_INC("lfo_gbdt_boost_rounds_total");
@@ -217,6 +223,7 @@ class Trainer {
           best_iteration = iter;
         } else if (iter - best_iteration >= params_.early_stopping_rounds) {
           trees.resize(best_iteration + 1);
+          truncated = true;
           if (log) {
             log->best_iteration = best_iteration;
             log->stopped_early = true;
@@ -227,6 +234,10 @@ class Trainer {
     }
     if (log && params_.early_stopping_rounds > 0 && !log->stopped_early) {
       log->best_iteration = best_iteration;
+    }
+    if (raw_scores != nullptr) {
+      raw_scores->clear();
+      if (!truncated) *raw_scores = std::move(scores_);
     }
     return Model(base_score_, std::move(trees));
   }
@@ -306,46 +317,30 @@ class Trainer {
     return rows;
   }
 
-  /// Histogram + best split of a single feature over one leaf's rows.
-  /// Pure w.r.t. trainer state (reads gradients/hessians/binning only),
-  /// so features can be evaluated concurrently; for a fixed feature the
-  /// result is independent of which thread runs it (same accumulation
-  /// order over `rows`).
-  SplitInfo best_split_for_feature(std::int32_t f,
-                                   std::span<const std::uint32_t> rows,
-                                   double sum_g, double sum_h) const {
+  /// Best split of feature `f` given its histogram over one leaf's rows.
+  SplitInfo best_split_in_histogram(std::int32_t f, const BinStats* hist,
+                                    std::uint32_t bins, std::size_t leaf_rows,
+                                    double sum_g, double sum_h) const {
     SplitInfo best;
     best.gain = params_.min_split_gain;
     const double parent_obj = objective(sum_g, sum_h);
-    const auto& fb = binned_.feature_bins(static_cast<std::size_t>(f));
-    const std::uint32_t bins = fb.num_bins();
-    if (bins < 2) return best;  // constant feature
-    thread_local Histogram hist;
-    hist.clear(bins);
-    const auto column = binned_.column(static_cast<std::size_t>(f));
-    for (const auto r : rows) {
-      const std::uint8_t b = column[r];
-      hist.sum_g[b] += gradients_[r];
-      hist.sum_h[b] += hessians_[r];
-      hist.count[b] += 1;
-    }
 #if LFO_DEBUG_CHECKS
     // Every row of the leaf must land in exactly one bin; a mismatch
     // means the binning index and the row partition have diverged.
     std::uint64_t binned_rows = 0;
-    for (std::uint32_t b = 0; b < bins; ++b) binned_rows += hist.count[b];
-    LFO_CHECK_EQ(binned_rows, rows.size())
+    for (std::uint32_t b = 0; b < bins; ++b) binned_rows += hist[b].count;
+    LFO_CHECK_EQ(binned_rows, leaf_rows)
         << "histogram bin counts do not sum to leaf row count (feature "
         << f << ")";
 #endif
     double left_g = 0, left_h = 0;
     std::uint32_t left_count = 0;
     for (std::uint32_t b = 0; b + 1 < bins; ++b) {
-      left_g += hist.sum_g[b];
-      left_h += hist.sum_h[b];
-      left_count += hist.count[b];
+      left_g += hist[b].sum_g;
+      left_h += hist[b].sum_h;
+      left_count += hist[b].count;
       const auto right_count =
-          static_cast<std::uint32_t>(rows.size()) - left_count;
+          static_cast<std::uint32_t>(leaf_rows) - left_count;
       if (left_count < params_.min_data_in_leaf ||
           right_count < params_.min_data_in_leaf) {
         continue;
@@ -368,29 +363,88 @@ class Trainer {
     return best;
   }
 
+  /// One pass over a leaf's rows adding each row's (g, h) pair to its bin
+  /// in `hist[j]`, the histogram of feature `column[j]`, for the block's
+  /// `width` features.
+  void fill_block(std::span<const std::uint32_t> rows,
+                  const std::array<std::size_t, kFeatureBlock>& column,
+                  const std::array<BinStats*, kFeatureBlock>& hist,
+                  std::size_t width) const {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::uint8_t* bins = binned_.row(rows[i]);
+      const GradPair gh = leaf_gh_[i];
+      for (std::size_t j = 0; j < width; ++j) {
+        BinStats& c = hist[j][bins[column[j]]];
+        c.sum_g += gh.g;
+        c.sum_h += gh.h;
+        c.count += 1;
+      }
+    }
+  }
+
+  /// Histograms of block `block` of the candidate features over one
+  /// leaf's rows, filled in one pass, then each feature's best split into
+  /// its per_feature_ slot. Every (feature, bin) sum still adds its rows
+  /// in leaf order, so the sums are those of a one-feature-at-a-time
+  /// pass, bit for bit; the block only gives the CPU kFeatureBlock
+  /// independent cells per row instead of a chain of adds to one cell.
+  /// Writes only its own slots, so blocks can run concurrently.
+  void split_block(std::size_t block, std::span<const std::uint32_t> rows,
+                   std::span<const std::int32_t> features, double sum_g,
+                   double sum_h) {
+    const std::size_t first = block * kFeatureBlock;
+    const std::size_t width =
+        std::min(kFeatureBlock, searched_.size() - first);
+    std::array<std::size_t, kFeatureBlock> column{};    // feature id
+    std::array<std::uint32_t, kFeatureBlock> num_bins{};
+    std::size_t cells = 0;
+    for (std::size_t j = 0; j < width; ++j) {
+      column[j] = static_cast<std::size_t>(features[searched_[first + j]]);
+      num_bins[j] = binned_.feature_bins(column[j]).num_bins();
+      cells += num_bins[j];
+    }
+    thread_local std::vector<BinStats> storage;
+    storage.assign(cells, BinStats{});
+    std::array<BinStats*, kFeatureBlock> hist{};  // each feature's bins
+    hist[0] = storage.data();
+    for (std::size_t j = 1; j < width; ++j) {
+      hist[j] = hist[j - 1] + num_bins[j - 1];
+    }
+    fill_block(rows, column, hist, width);
+    for (std::size_t j = 0; j < width; ++j) {
+      per_feature_[searched_[first + j]] = best_split_in_histogram(
+          static_cast<std::int32_t>(column[j]), hist[j], num_bins[j],
+          rows.size(), sum_g, sum_h);
+    }
+  }
+
   SplitInfo find_best_split(std::span<const std::uint32_t> rows,
                             std::span<const std::int32_t> features,
                             double sum_g, double sum_h) {
-    // Each feature is scored independently (into its own slot), then the
-    // winner is reduced strictly in feature order — so the chosen split,
-    // including tie-breaks, is identical at any thread count.
-    per_feature_.resize(features.size());
-    const bool parallel =
-        pool_ != nullptr && features.size() > 1 &&
-        rows.size() * features.size() >= kParallelSplitMinWork;
-    if (parallel) {
-      pool_->parallel_for(features.size(), [&](std::size_t fi) {
-        per_feature_[fi] =
-            best_split_for_feature(features[fi], rows, sum_g, sum_h);
-      });
-    } else {
-      for (std::size_t fi = 0; fi < features.size(); ++fi) {
-        per_feature_[fi] =
-            best_split_for_feature(features[fi], rows, sum_g, sum_h);
-      }
-    }
     SplitInfo best;
     best.gain = params_.min_split_gain;
+    // Both sides of a split need min_data_in_leaf rows.
+    if (rows.size() < 2 * std::size_t{params_.min_data_in_leaf}) return best;
+    leaf_gh_.resize(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      leaf_gh_[i] = {gradients_[rows[i]], hessians_[rows[i]]};
+    }
+    // Each feature is scored independently (into its own slot), then the
+    // winner is reduced strictly in candidate order — so the chosen
+    // split, including tie-breaks, is identical at any thread count.
+    // Constant features keep an invalid slot.
+    per_feature_.assign(features.size(), SplitInfo{});
+    const std::size_t blocks =
+        (searched_.size() + kFeatureBlock - 1) / kFeatureBlock;
+    const auto run = [&](std::size_t block) {
+      split_block(block, rows, features, sum_g, sum_h);
+    };
+    if (pool_ != nullptr && blocks > 1 &&
+        rows.size() * features.size() >= kParallelSplitMinWork) {
+      pool_->parallel_for(blocks, run);
+    } else {
+      for (std::size_t block = 0; block < blocks; ++block) run(block);
+    }
     for (const auto& s : per_feature_) {
       if (s.valid() && s.gain > best.gain) best = s;
     }
@@ -409,6 +463,11 @@ class Trainer {
     auto rows = sample_rows();
     const auto features = sample_features();
     const bool bagged = rows.size() != data_.num_rows();
+    searched_.clear();
+    for (std::size_t fi = 0; fi < features.size(); ++fi) {
+      const auto f = static_cast<std::size_t>(features[fi]);
+      if (binned_.feature_bins(f).num_bins() >= 2) searched_.push_back(fi);
+    }
 
     double root_g = 0, root_h = 0;
     for (const auto r : rows) {
@@ -442,48 +501,49 @@ class Trainer {
       LFO_DCHECK_LE(std::abs(s.left_g + s.right_g - task.sum_g),
                     1e-6 * (1.0 + std::abs(task.sum_g)))
           << "split lost gradient mass";
-      // Partition rows of this leaf by the chosen split.
-      const auto column =
-          binned_.column(static_cast<std::size_t>(s.feature));
-      auto mid_it = std::stable_partition(
-          rows.begin() + static_cast<std::ptrdiff_t>(task.begin),
-          rows.begin() + static_cast<std::ptrdiff_t>(task.end),
-          [&](std::uint32_t r) { return column[r] <= s.bin; });
-      const auto mid =
-          static_cast<std::size_t>(mid_it - rows.begin());
-
       const float threshold = binned_.split_value(
           static_cast<std::size_t>(s.feature), s.bin);
       const auto children = tree.split_leaf(
           task.node, s.feature, threshold, output(s.left_g, s.left_h),
           output(s.right_g, s.right_h));
       ++leaves;
-
-      if (task.depth + 1 < params_.max_depth || params_.max_depth < 0) {
-        LeafTask left;
-        left.node = children.left;
-        left.begin = task.begin;
-        left.end = mid;
-        left.sum_g = s.left_g;
-        left.sum_h = s.left_h;
-        left.depth = task.depth + 1;
-        left.best = find_best_split(
-            {rows.data() + left.begin, left.end - left.begin}, features,
-            left.sum_g, left.sum_h);
-        if (left.best.valid()) heap.push(left);
-
-        LeafTask right;
-        right.node = children.right;
-        right.begin = mid;
-        right.end = task.end;
-        right.sum_g = s.right_g;
-        right.sum_h = s.right_h;
-        right.depth = task.depth + 1;
-        right.best = find_best_split(
-            {rows.data() + right.begin, right.end - right.begin}, features,
-            right.sum_g, right.sum_h);
-        if (right.best.valid()) heap.push(right);
+      // The last split's children are never popped: the tree is full.
+      if (leaves == params_.num_leaves) break;
+      if (task.depth + 1 >= params_.max_depth && params_.max_depth >= 0) {
+        continue;
       }
+
+      // Partition rows of this leaf by the chosen split.
+      const auto f = static_cast<std::size_t>(s.feature);
+      auto mid_it = std::stable_partition(
+          rows.begin() + static_cast<std::ptrdiff_t>(task.begin),
+          rows.begin() + static_cast<std::ptrdiff_t>(task.end),
+          [&](std::uint32_t r) { return binned_.bin(r, f) <= s.bin; });
+      const auto mid = static_cast<std::size_t>(mid_it - rows.begin());
+
+      LeafTask left;
+      left.node = children.left;
+      left.begin = task.begin;
+      left.end = mid;
+      left.sum_g = s.left_g;
+      left.sum_h = s.left_h;
+      left.depth = task.depth + 1;
+      left.best = find_best_split(
+          {rows.data() + left.begin, left.end - left.begin}, features,
+          left.sum_g, left.sum_h);
+      if (left.best.valid()) heap.push(left);
+
+      LeafTask right;
+      right.node = children.right;
+      right.begin = mid;
+      right.end = task.end;
+      right.sum_g = s.right_g;
+      right.sum_h = s.right_h;
+      right.depth = task.depth + 1;
+      right.best = find_best_split(
+          {rows.data() + right.begin, right.end - right.begin}, features,
+          right.sum_g, right.sum_h);
+      if (right.best.valid()) heap.push(right);
     }
 
     // Update scores. Bagged-out rows still need their score refreshed so
@@ -529,12 +589,14 @@ class Trainer {
   std::vector<double> hessians_;
   std::vector<std::uint8_t> is_valid_;  // early-stopping holdout mask
   std::vector<SplitInfo> per_feature_;  // slot per candidate feature
+  std::vector<std::size_t> searched_;   // candidates with >= 2 bins
+  std::vector<GradPair> leaf_gh_;       // the leaf being searched
 };
 
 }  // namespace
 
 Model train(const Dataset& data, const Params& params, TrainLog* log,
-            util::ThreadPool* pool) {
+            util::ThreadPool* pool, std::vector<double>* raw_scores) {
   if (data.num_rows() == 0) {
     throw std::invalid_argument("train: empty dataset");
   }
@@ -556,7 +618,7 @@ Model train(const Dataset& data, const Params& params, TrainLog* log,
     }
   }
   Trainer trainer(data, params, pool);
-  return trainer.run(log);
+  return trainer.run(log, raw_scores);
 }
 
 double logloss(const Model& model, const Dataset& data) {
@@ -580,13 +642,18 @@ double accuracy(const Model& model, const Dataset& data, double cutoff) {
 
 util::BinaryConfusion confusion(const Model& model, const Dataset& data,
                                 double cutoff) {
+  std::vector<double> raw(data.num_rows());
+  model.predict_raw_batch(data.features_matrix(), data.num_features(), raw);
+  return confusion(raw, data, cutoff);
+}
+
+util::BinaryConfusion confusion(std::span<const double> raw_scores,
+                                const Dataset& data, double cutoff) {
+  LFO_CHECK_EQ(raw_scores.size(), data.num_rows())
+      << "confusion: one raw score per row";
   util::BinaryConfusion out;
-  if (data.num_rows() == 0) return out;
-  std::vector<double> proba(data.num_rows());
-  model.predict_proba_batch(data.features_matrix(), data.num_features(),
-                            proba);
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    out.add(proba[r] >= cutoff, data.label(r) > 0.5f);
+    out.add(sigmoid(raw_scores[r]) >= cutoff, data.label(r) > 0.5f);
   }
   return out;
 }

@@ -39,11 +39,12 @@ struct Params {
   std::uint32_t max_bins = 64;
   std::uint64_t seed = 1;
 
-  /// Worker threads for histogram construction and per-feature split
-  /// finding. Training is seed-deterministic: a fixed seed yields a
-  /// bitwise-identical model at ANY thread count, because each feature's
-  /// histogram is built independently and the split reduction always runs
-  /// in feature order. 1 = serial; 0 = hardware concurrency.
+  /// Worker threads for histogram construction and split finding, one
+  /// block of features per task. Training is seed-deterministic: a fixed
+  /// seed yields a bitwise-identical model at ANY thread count, because
+  /// each feature's histogram sums its rows in leaf order whichever
+  /// thread fills it and the split reduction always runs in feature
+  /// order. 1 = serial; 0 = hardware concurrency.
   std::uint32_t num_threads = 1;
 
   /// Early stopping: when > 0, a `validation_fraction` of rows is held
@@ -119,10 +120,17 @@ struct TrainLog {
 
 /// Train a binary classifier with logistic loss. When params.num_threads
 /// != 1 (or an external `pool` is supplied) histogram construction and
-/// split finding are parallelized per feature; the result is bitwise
-/// identical to a serial run with the same seed.
+/// split finding are parallelized over blocks of features; the result is
+/// bitwise identical to a serial run with the same seed.
+///
+/// `raw_scores`, when given, receives the trainer's final raw score of
+/// every row of `data`: the base score plus each tree, summed in
+/// Model::predict_raw's order, so sigmoid(raw_scores[r]) is bit for bit
+/// model.predict_proba(data.row(r)). It is left empty when early stopping
+/// truncated the model, whose scores then differ from the trainer's.
 Model train(const Dataset& data, const Params& params,
-            TrainLog* log = nullptr, util::ThreadPool* pool = nullptr);
+            TrainLog* log = nullptr, util::ThreadPool* pool = nullptr,
+            std::vector<double>* raw_scores = nullptr);
 
 /// Numerically stable sigmoid.
 double sigmoid(double x);
@@ -139,6 +147,10 @@ double accuracy(const Model& model, const Dataset& data, double cutoff = 0.5);
 /// it, so one batched prediction pass serves both.
 util::BinaryConfusion confusion(const Model& model, const Dataset& data,
                                 double cutoff = 0.5);
+/// The same confusion from raw scores already computed for every row of
+/// `data` (e.g. train()'s `raw_scores`), without predicting again.
+util::BinaryConfusion confusion(std::span<const double> raw_scores,
+                                const Dataset& data, double cutoff = 0.5);
 
 }  // namespace lfo::gbdt
 

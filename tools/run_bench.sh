@@ -38,6 +38,8 @@ REQUIRE_KEYS="flat_batch_preds_per_sec,flat_single_preds_per_sec"
 REQUIRE_KEYS+=",flat_quantized_batch_preds_per_sec"
 REQUIRE_KEYS+=",flat_quantized_single_preds_per_sec"
 REQUIRE_KEYS+=",flat_quantized_scalar_preds_per_sec"
+# The trainer's fit rate on the training window (rows / train_seconds).
+REQUIRE_KEYS+=",gbdt_train_rows_per_sec"
 EXTRA_ARGS=()
 for arg in "$@"; do
   case "$arg" in
