@@ -181,15 +181,11 @@ TrainResult train_on_window(std::span<const trace::Request> window,
 
   t0 = Clock::now();
   std::vector<double> raw_scores;
-  auto booster =
-      gbdt::train(*dataset, config.gbdt, nullptr, nullptr, &raw_scores);
+  auto booster = gbdt::train(*dataset, config.gbdt, nullptr, &raw_scores);
   result.train_seconds = seconds_since(t0);
-  // The trainer's final scores are the model's own scores on the window,
-  // unless early stopping truncated the model.
+  // The trainer's final scores are the model's own scores on the window.
   result.train_confusion =
-      raw_scores.empty()
-          ? gbdt::confusion(booster, *dataset, config.cutoff)
-          : gbdt::confusion(raw_scores, *dataset, config.cutoff);
+      gbdt::confusion(raw_scores, *dataset, config.cutoff);
   result.train_accuracy = result.train_confusion.accuracy();
   result.model = std::make_shared<const LfoModel>(std::move(booster),
                                                   config.features);

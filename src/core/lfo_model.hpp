@@ -48,8 +48,8 @@ class LfoModel {
   /// Which inference kernel serves predictions. kFlatForest (default) is
   /// the compiled contiguous engine and kTreeWalk the reference per-tree
   /// walk over gbdt::Model — both bitwise identical by construction.
-  /// kFlatQuantized serves from histogram-bin-quantized rows with SIMD
-  /// lane groups (gbdt::QuantizedForest); its contract only promises
+  /// kFlatQuantized serves from histogram-bin-quantized rows
+  /// (gbdt::QuantizedForest); its contract only promises
   /// identical *decisions* (scores may differ in ulps, see DESIGN.md),
   /// though the current implementation reproduces the reference bitwise
   /// too. The toggle exists so tests and bench_fig7_throughput can
@@ -77,7 +77,7 @@ class LfoModel {
   /// dimension() columns. Bitwise identical to row-by-row predict();
   /// much friendlier to the cache (blocked level-synchronous traversal
   /// on the flat engine, tree-outer on the reference walk). Used by the
-  /// eviction-ranking rescore and the prediction-error evaluation.
+  /// prediction-error evaluation.
   std::vector<double> predict_batch(std::span<const float> matrix) const;
   /// Allocation-free variant writing into caller-owned storage.
   void predict_batch(std::span<const float> matrix,

@@ -115,21 +115,14 @@ TrainedWindow train_window_task(
   // The window's dataset, shared by training and the serving model's
   // evaluation.
   std::optional<gbdt::Dataset> dataset;
-  // Bounded retry with (optional, wall-clock-only) backoff: a failed
-  // attempt — an injected fault or a real exception out of
-  // train_on_window — is retried up to max_train_retries times before
-  // the job counts as failed and the guard keeps the last-good model.
+  // Bounded retry: a failed attempt — an injected fault or a real
+  // exception out of train_on_window — is retried up to
+  // max_train_retries times before the job counts as failed and the
+  // guard keeps the last-good model.
   const std::uint32_t max_attempts = 1 + config.rollout.max_train_retries;
   for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
     out.train_attempts = attempt;
-    if (attempt > 1) {
-      LFO_COUNTER_INC("lfo_train_retries_total");
-      if (config.rollout.retry_backoff_seconds > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            config.rollout.retry_backoff_seconds *
-            static_cast<double>(attempt - 1)));
-      }
-    }
+    if (attempt > 1) LFO_COUNTER_INC("lfo_train_retries_total");
     try {
       if (config.train_fault && config.train_fault(window_index, attempt)) {
         throw std::runtime_error("injected training fault");
@@ -280,8 +273,7 @@ void emit_report(const WindowedConfig& config, const WindowReport& report) {
   }
 }
 
-/// Swap a freshly activated model into the cache (spanned: with
-/// rescore_on_swap this re-ranks every cached entry).
+/// Swap a freshly activated model into the cache.
 void swap_model_into(LfoCache& cache,
                      std::shared_ptr<const LfoModel> model) {
   LFO_TRACE_SPAN("model_swap");

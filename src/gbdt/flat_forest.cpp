@@ -91,12 +91,6 @@ FlatForest FlatForest::compile(const Model& model) {
   return forest;
 }
 
-std::int32_t FlatForest::max_depth() const {
-  std::int32_t deepest = 0;
-  for (const auto d : depths_) deepest = std::max(deepest, d);
-  return deepest;
-}
-
 std::size_t FlatForest::total_levels() const {
   std::size_t sum = 0;
   for (const auto d : depths_) sum += static_cast<std::size_t>(d);

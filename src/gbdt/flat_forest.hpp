@@ -45,8 +45,6 @@ class FlatForest {
   std::size_t num_trees() const { return roots_.size(); }
   std::size_t num_nodes() const { return nodes_.size(); }
   double base_score() const { return base_score_; }
-  /// Deepest level of any tree (0 for stump-only forests).
-  std::int32_t max_depth() const;
   /// Sum of per-tree depths: node visits per fully-traversed row (for
   /// the bench_micro bytes-touched/row roofline accounting).
   std::size_t total_levels() const;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <queue>
@@ -155,7 +154,6 @@ struct LeafTask {
   std::int32_t node = 0;
   std::size_t begin = 0, end = 0;
   double sum_g = 0, sum_h = 0;
-  std::int32_t depth = 0;
   SplitInfo best;
 };
 
@@ -176,12 +174,6 @@ class Trainer {
         scores_(data.num_rows(), 0.0),
         gradients_(data.num_rows(), 0.0),
         hessians_(data.num_rows(), 0.0) {
-    if (params.early_stopping_rounds > 0) {
-      is_valid_.assign(data.num_rows(), 0);
-      for (auto& flag : is_valid_) {
-        flag = rng_.bernoulli(params.validation_fraction) ? 1 : 0;
-      }
-    }
     if (params.objective == Objective::kBinaryLogistic) {
       // Base score: log-odds of the positive-label prior.
       double pos = 0.0;
@@ -202,43 +194,17 @@ class Trainer {
     std::fill(scores_.begin(), scores_.end(), base_score_);
   }
 
-  Model run(TrainLog* log, std::vector<double>* raw_scores) {
+  Model run(std::vector<double>* raw_scores) {
     LFO_TRACE_SPAN("gbdt_train");
     std::vector<Tree> trees;
     trees.reserve(params_.num_iterations);
-    double best_valid = std::numeric_limits<double>::infinity();
-    std::uint32_t best_iteration = 0;
-    bool truncated = false;  // scores_ then holds trees the model lacks
     for (std::uint32_t iter = 0; iter < params_.num_iterations; ++iter) {
       LFO_TRACE_SPAN("boost_round");
       LFO_COUNTER_INC("lfo_gbdt_boost_rounds_total");
       compute_gradients();
       trees.push_back(grow_tree());
-      if (log) log->train_logloss.push_back(current_logloss(/*valid=*/false));
-      if (params_.early_stopping_rounds > 0) {
-        const double valid_loss = current_logloss(/*valid=*/true);
-        if (log) log->valid_logloss.push_back(valid_loss);
-        if (valid_loss < best_valid - 1e-12) {
-          best_valid = valid_loss;
-          best_iteration = iter;
-        } else if (iter - best_iteration >= params_.early_stopping_rounds) {
-          trees.resize(best_iteration + 1);
-          truncated = true;
-          if (log) {
-            log->best_iteration = best_iteration;
-            log->stopped_early = true;
-          }
-          break;
-        }
-      }
     }
-    if (log && params_.early_stopping_rounds > 0 && !log->stopped_early) {
-      log->best_iteration = best_iteration;
-    }
-    if (raw_scores != nullptr) {
-      raw_scores->clear();
-      if (!truncated) *raw_scores = std::move(scores_);
-    }
+    if (raw_scores != nullptr) *raw_scores = std::move(scores_);
     return Model(base_score_, std::move(trees));
   }
 
@@ -258,28 +224,6 @@ class Trainer {
         hessians_[r] = 1.0;
       });
     }
-  }
-
-  /// Mean loss (logloss or squared error, per objective) over the
-  /// training or validation partition (the whole dataset when early
-  /// stopping is off).
-  double current_logloss(bool valid) const {
-    double loss = 0.0;
-    std::size_t count = 0;
-    for (std::size_t r = 0; r < data_.num_rows(); ++r) {
-      if (!is_valid_.empty() && (is_valid_[r] != 0) != valid) continue;
-      if (params_.objective == Objective::kBinaryLogistic) {
-        const double p =
-            std::clamp(sigmoid(scores_[r]), 1e-15, 1.0 - 1e-15);
-        const double y = data_.label(r) > 0.5f ? 1.0 : 0.0;
-        loss -= y * std::log(p) + (1.0 - y) * std::log(1.0 - p);
-      } else {
-        const double d = scores_[r] - static_cast<double>(data_.label(r));
-        loss += 0.5 * d * d;
-      }
-      ++count;
-    }
-    return loss / std::max<double>(1.0, static_cast<double>(count));
   }
 
   std::vector<std::int32_t> sample_features() {
@@ -305,7 +249,6 @@ class Trainer {
     const bool bag = params_.bagging_fraction < 1.0;
     rows.reserve(n);
     for (std::uint32_t r = 0; r < n; ++r) {
-      if (!is_valid_.empty() && is_valid_[r]) continue;  // held out
       // Bernoulli sampling keeps rows ordered, which the partitioning
       // does not require but keeps runs deterministic.
       if (bag && !rng_.bernoulli(params_.bagging_fraction)) continue;
@@ -321,8 +264,7 @@ class Trainer {
   SplitInfo best_split_in_histogram(std::int32_t f, const BinStats* hist,
                                     std::uint32_t bins, std::size_t leaf_rows,
                                     double sum_g, double sum_h) const {
-    SplitInfo best;
-    best.gain = params_.min_split_gain;
+    SplitInfo best;  // only a positive gain splits
     const double parent_obj = objective(sum_g, sum_h);
 #if LFO_DEBUG_CHECKS
     // Every row of the leaf must land in exactly one bin; a mismatch
@@ -422,7 +364,6 @@ class Trainer {
                             std::span<const std::int32_t> features,
                             double sum_g, double sum_h) {
     SplitInfo best;
-    best.gain = params_.min_split_gain;
     // Both sides of a split need min_data_in_leaf rows.
     if (rows.size() < 2 * std::size_t{params_.min_data_in_leaf}) return best;
     leaf_gh_.resize(rows.size());
@@ -451,12 +392,10 @@ class Trainer {
     return best;
   }
 
-  double objective(double g, double h) const {
-    return g * g / (h + params_.lambda_l2);
-  }
+  double objective(double g, double h) const { return g * g / h; }
 
   double output(double g, double h) const {
-    return -g / (h + params_.lambda_l2) * params_.learning_rate;
+    return -g / h * params_.learning_rate;
   }
 
   Tree grow_tree() {
@@ -493,10 +432,9 @@ class Trainer {
       LeafTask task = heap.top();
       heap.pop();
       const auto& s = task.best;
-      // A split only enters the heap when its gain beats min_split_gain,
-      // so with the default non-negative threshold gains stay monotone.
-      LFO_DCHECK_GE(s.gain, params_.min_split_gain)
-          << "split with sub-threshold gain escaped pruning";
+      // A split only enters the heap when its gain is positive.
+      LFO_DCHECK_GT(s.gain, 0.0)
+          << "split with non-positive gain escaped pruning";
       // Gradient mass is conserved across the split.
       LFO_DCHECK_LE(std::abs(s.left_g + s.right_g - task.sum_g),
                     1e-6 * (1.0 + std::abs(task.sum_g)))
@@ -509,9 +447,6 @@ class Trainer {
       ++leaves;
       // The last split's children are never popped: the tree is full.
       if (leaves == params_.num_leaves) break;
-      if (task.depth + 1 >= params_.max_depth && params_.max_depth >= 0) {
-        continue;
-      }
 
       // Partition rows of this leaf by the chosen split.
       const auto f = static_cast<std::size_t>(s.feature);
@@ -527,7 +462,6 @@ class Trainer {
       left.end = mid;
       left.sum_g = s.left_g;
       left.sum_h = s.left_h;
-      left.depth = task.depth + 1;
       left.best = find_best_split(
           {rows.data() + left.begin, left.end - left.begin}, features,
           left.sum_g, left.sum_h);
@@ -539,7 +473,6 @@ class Trainer {
       right.end = task.end;
       right.sum_g = s.right_g;
       right.sum_h = s.right_h;
-      right.depth = task.depth + 1;
       right.best = find_best_split(
           {rows.data() + right.begin, right.end - right.begin}, features,
           right.sum_g, right.sum_h);
@@ -587,7 +520,6 @@ class Trainer {
   std::vector<double> scores_;
   std::vector<double> gradients_;
   std::vector<double> hessians_;
-  std::vector<std::uint8_t> is_valid_;  // early-stopping holdout mask
   std::vector<SplitInfo> per_feature_;  // slot per candidate feature
   std::vector<std::size_t> searched_;   // candidates with >= 2 bins
   std::vector<GradPair> leaf_gh_;       // the leaf being searched
@@ -595,7 +527,7 @@ class Trainer {
 
 }  // namespace
 
-Model train(const Dataset& data, const Params& params, TrainLog* log,
+Model train(const Dataset& data, const Params& params,
             util::ThreadPool* pool, std::vector<double>* raw_scores) {
   if (data.num_rows() == 0) {
     throw std::invalid_argument("train: empty dataset");
@@ -618,7 +550,7 @@ Model train(const Dataset& data, const Params& params, TrainLog* log,
     }
   }
   Trainer trainer(data, params, pool);
-  return trainer.run(log, raw_scores);
+  return trainer.run(raw_scores);
 }
 
 double logloss(const Model& model, const Dataset& data) {

@@ -24,16 +24,16 @@ enum class Objective {
 };
 
 /// Training hyperparameters. Defaults mirror LightGBM's; the paper uses
-/// LightGBM defaults except num_iterations = 30 (§2.3).
+/// LightGBM defaults except num_iterations = 30 (§2.3). The LightGBM
+/// defaults that are not settable here are fixed in the trainer: no L2
+/// leaf regularisation (a split's objective is g*g/h), any positive gain
+/// splits, and trees have no depth limit beyond num_leaves.
 struct Params {
   Objective objective = Objective::kBinaryLogistic;
   std::uint32_t num_iterations = 100;
   double learning_rate = 0.1;
   std::uint32_t num_leaves = 31;
-  std::int32_t max_depth = -1;      ///< -1 = unlimited
   std::uint32_t min_data_in_leaf = 20;
-  double lambda_l2 = 0.0;
-  double min_split_gain = 0.0;
   double feature_fraction = 1.0;    ///< fraction of features tried per tree
   double bagging_fraction = 1.0;    ///< fraction of rows sampled per tree
   std::uint32_t max_bins = 64;
@@ -46,12 +46,6 @@ struct Params {
   /// thread fills it and the split reduction always runs in feature
   /// order. 1 = serial; 0 = hardware concurrency.
   std::uint32_t num_threads = 1;
-
-  /// Early stopping: when > 0, a `validation_fraction` of rows is held
-  /// out; training stops after this many rounds without validation-loss
-  /// improvement and the model is truncated to its best iteration.
-  std::uint32_t early_stopping_rounds = 0;
-  double validation_fraction = 0.1;
 
   /// The paper's configuration: LightGBM defaults with 30 iterations.
   static Params paper_defaults() {
@@ -110,14 +104,6 @@ class Model {
   std::vector<Tree> trees_;
 };
 
-/// Per-iteration training diagnostics.
-struct TrainLog {
-  std::vector<double> train_logloss;  ///< after each iteration
-  std::vector<double> valid_logloss;  ///< only with early stopping
-  std::uint32_t best_iteration = 0;   ///< only with early stopping
-  bool stopped_early = false;
-};
-
 /// Train a binary classifier with logistic loss. When params.num_threads
 /// != 1 (or an external `pool` is supplied) histogram construction and
 /// split finding are parallelized over blocks of features; the result is
@@ -126,10 +112,9 @@ struct TrainLog {
 /// `raw_scores`, when given, receives the trainer's final raw score of
 /// every row of `data`: the base score plus each tree, summed in
 /// Model::predict_raw's order, so sigmoid(raw_scores[r]) is bit for bit
-/// model.predict_proba(data.row(r)). It is left empty when early stopping
-/// truncated the model, whose scores then differ from the trainer's.
+/// model.predict_proba(data.row(r)).
 Model train(const Dataset& data, const Params& params,
-            TrainLog* log = nullptr, util::ThreadPool* pool = nullptr,
+            util::ThreadPool* pool = nullptr,
             std::vector<double>* raw_scores = nullptr);
 
 /// Numerically stable sigmoid.

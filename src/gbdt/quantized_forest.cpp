@@ -283,12 +283,6 @@ QuantizedForest QuantizedForest::compile(const Model& model,
   return forest;
 }
 
-std::int32_t QuantizedForest::max_depth() const {
-  std::int32_t deepest = 0;
-  for (const auto d : depths_) deepest = std::max(deepest, d);
-  return deepest;
-}
-
 std::size_t QuantizedForest::total_levels() const {
   std::size_t sum = 0;
   for (const auto d : depths_) sum += static_cast<std::size_t>(d);

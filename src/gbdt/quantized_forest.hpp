@@ -68,7 +68,6 @@ class QuantizedForest {
   std::size_t num_nodes() const { return left_.size(); }
   std::size_t num_features() const { return num_features_; }
   double base_score() const { return base_score_; }
-  std::int32_t max_depth() const;
   /// Sum of per-tree depths: node visits per fully-traversed row (for
   /// the bench_micro bytes-touched/row roofline accounting).
   std::size_t total_levels() const;

@@ -143,18 +143,20 @@ Trace read_binary_trace(std::istream& in) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof count);
   if (!in) fail("truncated header");
+  // The header's count is untrusted: the vector grows only as records
+  // actually arrive, so a file claiming more than it holds fails as
+  // truncated instead of allocating for the claim.
   std::vector<Request> reqs;
-  reqs.resize(count);
-  std::size_t index = 0;
-  for (auto& r : reqs) {
+  for (std::uint64_t index = 0; index < count; ++index) {
+    Request r;
     in.read(reinterpret_cast<char*>(&r.object), sizeof r.object);
     in.read(reinterpret_cast<char*>(&r.size), sizeof r.size);
     in.read(reinterpret_cast<char*>(&r.cost), sizeof r.cost);
     if (v2) in.read(reinterpret_cast<char*>(&r.ttl), sizeof r.ttl);
-    if (in) validate_record(r, "record " + std::to_string(index));
-    ++index;
+    if (!in) fail("truncated body");
+    validate_record(r, "record " + std::to_string(index));
+    reqs.push_back(r);
   }
-  if (!in) fail("truncated body");
   return Trace(std::move(reqs));
 }
 

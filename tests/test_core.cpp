@@ -176,35 +176,28 @@ TEST(TrainOnWindow, SharedDatasetAndTrainConfusionMatchRebuilding) {
   // its dataset can be handed on; both must equal recomputing them.
   const auto t = trace::generate_zipf_trace(8000, 300, 1.0, 63);
   std::span<const Request> reqs(t.requests());
-  for (const std::uint32_t early_stopping : {0u, 2u}) {
-    auto config = fast_lfo_config(t.unique_bytes() / 5);
-    config.gbdt.num_iterations = 40;
-    config.gbdt.learning_rate = 0.5;
-    config.gbdt.early_stopping_rounds = early_stopping;
-    std::optional<gbdt::Dataset> dataset;
-    const auto result = train_on_window(reqs, config, dataset);
-    ASSERT_TRUE(dataset.has_value());
-    EXPECT_EQ(dataset->num_rows(), result.num_samples);
-    if (early_stopping > 0) {
-      // Truncated: the confusion falls back to predicting the window.
-      EXPECT_LT(result.model->booster().num_trees(), 40u);
-    }
-    const auto predicted =
-        gbdt::confusion(result.model->booster(), *dataset, config.cutoff);
-    EXPECT_EQ(result.train_confusion.tp(), predicted.tp()) << early_stopping;
-    EXPECT_EQ(result.train_confusion.fp(), predicted.fp()) << early_stopping;
-    EXPECT_EQ(result.train_confusion.tn(), predicted.tn()) << early_stopping;
-    EXPECT_EQ(result.train_confusion.fn(), predicted.fn()) << early_stopping;
+  auto config = fast_lfo_config(t.unique_bytes() / 5);
+  config.gbdt.num_iterations = 40;
+  config.gbdt.learning_rate = 0.5;
+  std::optional<gbdt::Dataset> dataset;
+  const auto result = train_on_window(reqs, config, dataset);
+  ASSERT_TRUE(dataset.has_value());
+  EXPECT_EQ(dataset->num_rows(), result.num_samples);
+  const auto predicted =
+      gbdt::confusion(result.model->booster(), *dataset, config.cutoff);
+  EXPECT_EQ(result.train_confusion.tp(), predicted.tp());
+  EXPECT_EQ(result.train_confusion.fp(), predicted.fp());
+  EXPECT_EQ(result.train_confusion.tn(), predicted.tn());
+  EXPECT_EQ(result.train_confusion.fn(), predicted.fn());
 
-    const auto rebuilt = evaluate_predictions(
-        *result.model, reqs, result.opt, config.cache_size, config.cutoff);
-    const auto shared =
-        evaluate_predictions(*result.model, *dataset, config.cutoff);
-    EXPECT_EQ(shared.tp(), rebuilt.tp());
-    EXPECT_EQ(shared.fp(), rebuilt.fp());
-    EXPECT_EQ(shared.tn(), rebuilt.tn());
-    EXPECT_EQ(shared.fn(), rebuilt.fn());
-  }
+  const auto rebuilt = evaluate_predictions(
+      *result.model, reqs, result.opt, config.cache_size, config.cutoff);
+  const auto shared =
+      evaluate_predictions(*result.model, *dataset, config.cutoff);
+  EXPECT_EQ(shared.tp(), rebuilt.tp());
+  EXPECT_EQ(shared.fp(), rebuilt.fp());
+  EXPECT_EQ(shared.tn(), rebuilt.tn());
+  EXPECT_EQ(shared.fn(), rebuilt.fn());
 }
 
 TEST(EvaluatePredictions, RejectsDatasetOfAnotherWidth) {

@@ -163,47 +163,6 @@ TEST(CutoffTuning, RejectsMismatch) {
       std::invalid_argument);
 }
 
-TEST(EarlyStopping, StopsAndTruncates) {
-  util::Rng rng(94);
-  gbdt::Dataset data(2);
-  for (int i = 0; i < 3000; ++i) {
-    const float a = static_cast<float>(rng.uniform01());
-    const float b = static_cast<float>(rng.uniform01());
-    // Noisy labels: after the signal is learned, more trees only overfit.
-    const bool label = a > 0.5f ? rng.bernoulli(0.9) : rng.bernoulli(0.1);
-    const float row[2] = {a, b};
-    data.add_row(row, label ? 1.0f : 0.0f);
-  }
-  gbdt::Params params;
-  params.num_iterations = 200;
-  params.num_leaves = 64;
-  params.min_data_in_leaf = 2;
-  params.early_stopping_rounds = 5;
-  params.validation_fraction = 0.2;
-  gbdt::TrainLog log;
-  const auto model = gbdt::train(data, params, &log);
-  EXPECT_TRUE(log.stopped_early);
-  EXPECT_LT(model.num_trees(), 200u);
-  EXPECT_EQ(model.num_trees(), log.best_iteration + 1);
-  EXPECT_EQ(log.valid_logloss.size(), log.train_logloss.size());
-}
-
-TEST(EarlyStopping, DisabledRunsAllIterations) {
-  util::Rng rng(95);
-  gbdt::Dataset data(1);
-  for (int i = 0; i < 500; ++i) {
-    const float x = static_cast<float>(rng.uniform01());
-    data.add_row({&x, 1}, x > 0.5f ? 1.0f : 0.0f);
-  }
-  gbdt::Params params;
-  params.num_iterations = 12;
-  gbdt::TrainLog log;
-  const auto model = gbdt::train(data, params, &log);
-  EXPECT_EQ(model.num_trees(), 12u);
-  EXPECT_FALSE(log.stopped_early);
-  EXPECT_TRUE(log.valid_logloss.empty());
-}
-
 TEST(GapNoise, PerturbsOnlyRecordedGaps) {
   std::vector<Request> reqs{{0, 10, 10.0}, {0, 10, 10.0}, {0, 10, 10.0}};
   opt::OptDecisions d;

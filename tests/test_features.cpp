@@ -176,16 +176,18 @@ TEST(DatasetBuilder, WarmupSkipsSamplesButKeepsHistory) {
   d.cached = {1, 1, 1, 0};
   d.cache_fraction = {1, 1, 1, 0};
   DatasetBuildOptions options;
-  options.warmup = 2;
   options.features.num_gaps = 2;
   options.features.missing_gap_value = -1.0f;
   const auto data = build_dataset(reqs, d, options);
-  ASSERT_EQ(data.num_rows(), 2u);
-  // First emitted sample is request index 2 and must see 2 recorded gaps.
-  const auto gap1 = data.feature(0, 3);
-  const auto gap2 = data.feature(0, 4);
-  EXPECT_FLOAT_EQ(gap1, 1.0f);
-  EXPECT_FLOAT_EQ(gap2, 1.0f);
+  // Every request is a sample, and each one's gaps come from the
+  // requests before it: request 0 has none, request 1 one, request 2 two.
+  ASSERT_EQ(data.num_rows(), 4u);
+  EXPECT_FLOAT_EQ(data.feature(0, 3), -1.0f);
+  EXPECT_FLOAT_EQ(data.feature(0, 4), -1.0f);
+  EXPECT_FLOAT_EQ(data.feature(1, 3), 1.0f);
+  EXPECT_FLOAT_EQ(data.feature(1, 4), -1.0f);
+  EXPECT_FLOAT_EQ(data.feature(2, 3), 1.0f);
+  EXPECT_FLOAT_EQ(data.feature(2, 4), 1.0f);
 }
 
 TEST(DatasetBuilder, RejectsMismatchedDecisions) {

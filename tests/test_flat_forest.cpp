@@ -167,7 +167,7 @@ TEST(FlatForest, HandlesStumpsAndEmptyForests) {
   stumps.emplace_back(-0.75);
   const gbdt::Model model(0.5, std::move(stumps));
   const auto forest = gbdt::FlatForest::compile(model);
-  EXPECT_EQ(forest.max_depth(), 0);
+  EXPECT_EQ(forest.total_levels(), 0u);
   const std::vector<float> row{1.0f};
   EXPECT_EQ(forest.predict_raw(row), 0.5 + 0.25 + -0.75);
 

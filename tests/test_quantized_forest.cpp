@@ -321,7 +321,7 @@ TEST(QuantizedForest, HandlesStumpsAndEmptyForests) {
   stumps.emplace_back(-0.75);
   const gbdt::Model model(0.5, std::move(stumps));
   const auto forest = gbdt::QuantizedForest::compile(model, 1);
-  EXPECT_EQ(forest.max_depth(), 0);
+  EXPECT_EQ(forest.total_levels(), 0u);
   std::vector<std::uint8_t> scratch;
   const std::vector<float> row{1.0f};
   EXPECT_EQ(forest.predict_raw(row, scratch), 0.5 + 0.25 + -0.75);

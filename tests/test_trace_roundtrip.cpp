@@ -118,6 +118,14 @@ TEST(TraceRoundTrip, CorruptBinaryRejected) {
   const auto bytes = buffer.str();
   std::stringstream truncated(bytes.substr(0, bytes.size() - 4));
   EXPECT_THROW(trace::read_binary_trace(truncated), std::runtime_error);
+
+  // A 16-byte file whose header claims 2^40 records: rejected as
+  // truncated, without allocating for the claimed count.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::string header = bytes.substr(0, 8);
+  header.append(reinterpret_cast<const char*>(&huge), sizeof huge);
+  std::stringstream overclaimed(header);
+  EXPECT_THROW(trace::read_binary_trace(overclaimed), std::runtime_error);
 }
 
 }  // namespace
